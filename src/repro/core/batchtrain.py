@@ -1,20 +1,22 @@
 """Batched training engine: fast Algorithm-1 rollouts, bit-exact.
 
 The scalar training loop (:meth:`repro.core.engine.AutoScale.run`) pays
-for a full nominal-cost evaluation — a per-layer latency walk plus link
-arithmetic — on **every** inference, even though the nominal components
-only depend on the (network, target, observation) triple and the paper's
-protocol revisits the same few triples tens of thousands of times.
+for the full per-request call chain — observation, state encoding,
+selection, execution, reward, Q update, each behind its own method and
+runtime contracts — on **every** inference, even though the paper's
+protocol revisits the same few (network, target, observation) triples
+tens of thousands of times.
 
-:class:`BatchTrainer` drives the same Algorithm-1 cycles through the
-environment's cached execution path
-(:meth:`~repro.env.environment.EdgeCloudEnvironment.execute_cached`):
-nominal components come from exact value-keyed caches, measurement
-jitters are drawn through the documented per-request draw-order contract
-(see ``EdgeCloudEnvironment.execute_batch``), and static Table-IV
-scenarios (constant co-runner, constant signals) skip the per-step
-observation re-sampling entirely — legal because a static scenario draws
-nothing from the RNG and returns the same values every time.
+:class:`BatchTrainer` drives the same Algorithm-1 cycles with that chain
+inlined: nominal components come from the environment's exact
+value-keyed caches (the ones
+:meth:`~repro.env.environment.EdgeCloudEnvironment.execute` reads),
+measurement jitters are drawn through the documented per-request
+draw-order contract (see ``EdgeCloudEnvironment.execute_batch``), and
+static Table-IV scenarios (constant co-runner, constant signals) skip
+the per-step observation re-sampling entirely — legal because a static
+scenario draws nothing from the RNG and returns the same values every
+time.
 
 **Parity contract.**  For the same seeds, a :class:`BatchTrainer` episode
 is *bit-identical* to the scalar engine loop it replaces: the same
@@ -54,7 +56,7 @@ class BatchTrainer:
     """Fast-path driver for Algorithm-1 training episodes.
 
     Wraps an :class:`~repro.core.engine.AutoScale` engine and runs its
-    training episodes through the environment's cached execution path.
+    training episodes through an inlined replica of the scalar step.
     All mutable learning state (Q-table, visit counts, convergence
     detector, overhead stats, history) lives on the wrapped engine; the
     trainer holds no state of its own, so scalar and batched stepping
@@ -182,6 +184,9 @@ class BatchTrainer:
                 # expose the same ``cpu_util``/``mem_util`` fields the
                 # co-runner load carries.
                 slowdown = interference_slowdown(kind, observation)
+                if slowdown < 1.0:
+                    raise ConfigError(
+                        f"slowdown must be >= 1, got {slowdown}")
                 vf_terms = vf_terms_cache.get(network.name)
                 if vf_terms is None:
                     vf_terms = terms_for("local", proc, network,
@@ -330,7 +335,7 @@ class BatchTrainer:
 
         Runtime contracts (``REPRO_CONTRACTS``/pytest) are snapshotted
         once per episode: with contracts *on*, every step goes through
-        the fully-instrumented ``execute_cached``/``QTable.update`` call
+        the fully-instrumented ``execute``/``QTable.update`` call
         chain so each contract still fires; with contracts *off* (the
         production configuration the Section VI-C overhead numbers are
         about), local executions and Q-updates run through inlined
@@ -375,7 +380,7 @@ class BatchTrainer:
         perf_counter = time.perf_counter
 
         faithful = contracts_enabled()
-        execute_cached = env.execute_cached
+        execute = env.execute
         noise = env.noise
         accuracy_by_action = self._accuracy_rows.get(network.name)
         if accuracy_by_action is None:
@@ -423,7 +428,7 @@ class BatchTrainer:
             target = targets[action]
 
             if faithful:
-                result = execute_cached(network, target, observation)
+                result = execute(network, target, observation)
             else:
                 completer = completers.get(action)
                 if completer is None:

@@ -481,8 +481,7 @@ class AutoScale:
                                    observation, deadline_ms)
 
     def step_with_action(self, use_case, action, observation,
-                         explored=False, deadline_ms=None, cached=False,
-                         state=None):
+                         explored=False, deadline_ms=None, state=None):
         """Algorithm 1 with the selection already made.
 
         The batched serving drain selects once per ``(network, state)``
@@ -492,15 +491,10 @@ class AutoScale:
         learning dynamics are identical to :meth:`step` — only the
         redundant selections are elided.
 
-        ``cached=True`` routes the execution through
-        :meth:`~repro.env.environment.EdgeCloudEnvironment.execute_cached`
-        (bit-identical cached-nominal fast path); it is incompatible
-        with ``deadline_ms``, which only the uncached executor honours.
-
         ``state``, when given, must be the caller's already-computed
         ``observe_state(use_case.network, observation)`` — encoding is
-        deterministic, so passing it skips a redundant layer walk
-        without changing any observable.  The vectorized drain encodes
+        deterministic, so passing it skips a redundant encode without
+        changing any observable.  The vectorized drain encodes
         once per network and feeds that here for every coalesced
         request.
         """
@@ -509,27 +503,20 @@ class AutoScale:
                 f"action {action} outside the "
                 f"{len(self.action_space)}-action space"
             )
-        if cached and deadline_ms is not None:
-            raise ConfigError(
-                "cached execution does not support deadline_ms"
-            )
         if state is None:
             state = self.observe_state(use_case.network, observation)
         return self._complete_step(use_case, state, action, explored,
-                                   observation, deadline_ms, cached=cached)
+                                   observation, deadline_ms)
 
     def _complete_step(self, use_case, state, action, explored,
-                       observation, deadline_ms, cached=False):
+                       observation, deadline_ms):
         """Execute + reward + successor-observe + update for one request."""
         env = self.environment
         network = use_case.network
         target = self.action_space.target(action)
 
-        if cached and deadline_ms is None:
-            result = env.execute_cached(network, target, observation)
-        else:
-            result = env.execute(network, target, observation,
-                                 deadline_ms=deadline_ms)
+        result = env.execute(network, target, observation,
+                             deadline_ms=deadline_ms)
 
         started = time.perf_counter()
         reward = compute_reward(result, use_case, self.reward_config)

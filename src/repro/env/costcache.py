@@ -3,10 +3,10 @@
 Every figure benchmark and the Opt oracle's footnote-8 construction sweep
 the full ~66-target action space through the nominal model for each
 observation.  Doing that one scalar :meth:`EdgeCloudEnvironment.estimate`
-call at a time re-walks every layer of the network per target, so the
-nominal model — not the learner — dominates wall-clock.  This module
-evaluates **all** targets for one ``(network, observation)`` in a single
-vectorized numpy pass:
+call at a time costs ~66 Python call chains, so the nominal model — not
+the learner — dominates wall-clock.  This module evaluates **all**
+targets for one ``(network, observation)`` in a single vectorized numpy
+pass:
 
 - per-``(network, role, precision, vf_index)`` nominal latencies and the
   eq. (1)-(3) busy powers are folded into dense per-target arrays once
@@ -320,12 +320,7 @@ class NominalCostEngine:
                 )
                 dispatch_ms[index] = proc.dispatch_ms * len(network.layers)
             else:
-                remote = env.cloud if target.location is Location.CLOUD \
-                    else env.connected
-                remote_proc = remote.soc.processor(target.role)
-                remote_ms[index] = remote_proc.network_latency_ms(
-                    network, target.precision
-                )
+                remote_ms[index] = self.remote_nominal_ms(network, target)
         return _NetworkTable(
             compute_ms=_readonly(compute_ms),
             dispatch_ms=_readonly(dispatch_ms),
@@ -336,20 +331,22 @@ class NominalCostEngine:
         )
 
     # ------------------------------------------------------------------
-    # Exact nominal components (the batched execution path's backbone)
+    # Exact nominal components (the execution path's backbone)
     # ------------------------------------------------------------------
     #
     # Unlike the sweeps below — which are keyed on *discretized*
     # observations and whose vectorized arithmetic agrees with the scalar
     # model only to ~1e-9 relative — these caches key on the **exact**
     # observation values and compute through the very same scalar call
-    # chain the executor uses.  A hit is therefore bit-identical to
-    # recomputation, which is what lets ``execute_batch`` return results
-    # indistinguishable from the scalar ``execute``.  Because they are
-    # pure deterministic functions of the topology, they deliberately
-    # survive ``reset()``/reseeds (a replayed episode would recompute
-    # exactly the same values) and are only dropped when the topology or
-    # the network definitions change (``rebuild`` /
+    # chain the executor's per-layer walk evaluates.  A hit is therefore
+    # bit-identical to recomputation, which is what lets ``execute``,
+    # ``execute_batch`` and ``estimate`` read them instead of walking
+    # the layers (``tests/env/test_layer_walk_oracle.py`` holds them to
+    # the walk with ``==``).  Because they are pure deterministic
+    # functions of the topology, they deliberately survive
+    # ``reset()``/reseeds (a replayed episode would recompute exactly the
+    # same values) and are only dropped when the topology or the network
+    # definitions change (``rebuild`` /
     # ``invalidate(network_tables=True)``).  That persistence is what
     # makes fold-level environment reuse in the LOO protocol profitable:
     # every fold after the first trains against a warm cache.
@@ -388,7 +385,9 @@ class NominalCostEngine:
         """``(proc, nominal_ms, slowdown)`` for one local target.
 
         Bit-identical to what :func:`~repro.env.executor.local_execution`
-        computes inline; keyed on the exact co-runner load.
+        computes inline; keyed on the exact co-runner load.  Raises
+        :class:`ConfigError` for a slowdown below 1, as the layer walk
+        (``Processor.layer_latency_ms``) does.
         """
         key = (network.name, target.key,
                observation.cpu_util, observation.mem_util)
@@ -403,6 +402,8 @@ class NominalCostEngine:
         load = CoRunnerLoad(cpu_util=observation.cpu_util,
                             mem_util=observation.mem_util)
         slowdown = env.interference.slowdown(proc.kind, load)
+        if slowdown < 1.0:
+            raise ConfigError(f"slowdown must be >= 1, got {slowdown}")
         terms = self._terms_for("local", proc, network, target.precision)
         nominal_ms = sum(
             (terms[:, target.vf_index] * slowdown

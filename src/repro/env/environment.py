@@ -32,10 +32,8 @@ from repro.env.executor import (
     finish_local_execution,
     finish_remote_execution,
     jitter_plan,
-    local_execution,
     partitioned_execution,
     pipelined_local_execution,
-    remote_execution,
 )
 from repro.env.observation import Observation
 from repro.env.scenarios import build_scenario
@@ -53,6 +51,27 @@ __all__ = ["EdgeCloudEnvironment"]
 #: Virtual think-time between consecutive inferences (ms); keeps dynamic
 #: scenarios' trace co-runners moving through their phases.
 _INTER_ARRIVAL_MS = 150.0
+
+#: Noise-free jitters for every slot (local uses the first two): what
+#: the executor's ``_jitter`` returns without an RNG.
+_UNIT_JITTERS = (1.0,) * 5
+
+
+def _spread_draws(draws, cursor, draw_flags):
+    """One request's jitters from ``draws[cursor:]``, in slot order.
+
+    A drawing slot takes ``exp`` of the next draw; a zero-sigma slot is
+    1.0.  Returns ``(jitters, cursor)`` with the cursor past the draws
+    consumed.
+    """
+    jitters = []
+    for has_draw in draw_flags:
+        if has_draw:
+            jitters.append(math.exp(draws[cursor]))
+            cursor += 1
+        else:
+            jitters.append(1.0)
+    return jitters, cursor
 
 
 class EdgeCloudEnvironment:
@@ -280,6 +299,15 @@ class EdgeCloudEnvironment:
         If ``observation`` is omitted, a fresh one is sampled — this is
         the normal serving loop: observe, decide, execute.
 
+        Nominal components (the per-layer latency sum, link transfer
+        times) come from the cost engine's exact layer-term tables, which
+        reproduce :func:`~repro.env.executor.local_execution` /
+        :func:`~repro.env.executor.remote_execution` bit for bit.  The
+        jitters are drawn in those functions' order (local ``(latency,
+        power)``, remote ``(server, tx, rx, rtt, power)``, zero-sigma
+        slots skipped) through one ``rng.normal(0.0, sigmas)`` call,
+        which NumPy fills element-wise from the same stream.
+
         With an active fault plan, a remote attempt may come back as a
         :class:`~repro.faults.FailedAttempt` that bills the energy the
         dead attempt burned.  ``deadline_ms`` (used by the resilient
@@ -289,7 +317,13 @@ class EdgeCloudEnvironment:
         """
         if observation is None:
             observation = self.observe()
-        result = self._run(network, target, observation, rng=self.rng)
+        _, local_plan, remote_plan = self._jitter_plans()
+        positive_sigmas, draw_flags = (remote_plan if target.is_remote
+                                       else local_plan)
+        draws = (self.rng.normal(0.0, positive_sigmas)
+                 if positive_sigmas.size else ())
+        jitters, _ = _spread_draws(draws, 0, draw_flags)
+        result = self._finish_cached(network, target, observation, jitters)
         injector = self._fault_injector
         if target.is_remote and (injector.active or deadline_ms is not None):
             if deadline_ms is not None and injector.plan is None:
@@ -311,9 +345,9 @@ class EdgeCloudEnvironment:
         self.kernel.advance_by(result.latency_ms + self.think_time_ms)
         return result
 
-    # ------------------------------------------------------------------
-    # Batched execution (cached nominals + vectorized jitter draws)
-    # ------------------------------------------------------------------
+    def execute_cached(self, network, target, observation):
+        """:meth:`execute` with a required observation and no deadline."""
+        return self.execute(network, target, observation)
 
     def _jitter_plans(self):
         """Per-location jitter plans for the current noise config.
@@ -357,36 +391,9 @@ class EdgeCloudEnvironment:
             tx_slow, jitters,
         )
 
-    def execute_cached(self, network, target, observation):
-        """One inference through the cached-nominal (batched) path.
-
-        Bit-identical to :meth:`execute` with an explicit observation —
-        same RNG draws, same result, same clock advance — but reads the
-        expensive nominal components (layer-walk latency, link transfer
-        times) from the exact cache instead of recomputing them.  Falls
-        back to :meth:`execute` while the fault plan is active (faults
-        consume the RNG stream data-dependently).
-        """
-        if self._fault_injector.active:
-            return self.execute(network, target, observation)
-        _, local_plan, remote_plan = self._jitter_plans()
-        positive_sigmas, draw_flags = (remote_plan if target.is_remote
-                                       else local_plan)
-        if positive_sigmas.size:
-            draws = self.rng.normal(0.0, positive_sigmas)
-        else:
-            draws = ()
-        jitters = []
-        cursor = 0
-        for has_draw in draw_flags:
-            if has_draw:
-                jitters.append(math.exp(draws[cursor]))
-                cursor += 1
-            else:
-                jitters.append(1.0)
-        result = self._finish_cached(network, target, observation, jitters)
-        self.kernel.advance_by(result.latency_ms + self.think_time_ms)
-        return result
+    # ------------------------------------------------------------------
+    # Batched execution (vectorized jitter draws)
+    # ------------------------------------------------------------------
 
     def execute_batch(self, network, targets, observations):
         """Execute a chunk of inferences with vectorized jitter draws.
@@ -402,11 +409,10 @@ class EdgeCloudEnvironment:
         so the draws (and the bit-generator state afterwards) are
         bit-identical to scalar per-request draws.
 
-        Nominal components come from the exact value-keyed caches, and
-        the finishing arithmetic is shared with the scalar executor, so
-        the returned :class:`ExecutionResult`\\ s and the clock advances
-        are bit-identical to calling :meth:`execute` per request with
-        the same ``observation``.
+        Nominal components and the finishing arithmetic are those of
+        :meth:`execute`, so the returned :class:`ExecutionResult`\\ s
+        and the clock advances are bit-identical to calling
+        :meth:`execute` per request with the same ``observation``.
 
         With an active fault plan the whole chunk falls back to scalar
         :meth:`execute` calls (fault sampling interleaves data-dependent
@@ -432,13 +438,7 @@ class EdgeCloudEnvironment:
         for target, observation in zip(targets, observations):
             _, draw_flags = (remote_plan if target.is_remote
                              else local_plan)
-            jitters = []
-            for has_draw in draw_flags:
-                if has_draw:
-                    jitters.append(math.exp(draws[cursor]))
-                    cursor += 1
-                else:
-                    jitters.append(1.0)
+            jitters, cursor = _spread_draws(draws, cursor, draw_flags)
             result = self._finish_cached(network, target, observation,
                                          jitters)
             self.kernel.advance_by(result.latency_ms + self.think_time_ms)
@@ -447,7 +447,8 @@ class EdgeCloudEnvironment:
 
     def estimate(self, network, target, observation):
         """Deterministic nominal model: no noise, no clock advance."""
-        return self._run(network, target, observation, rng=None)
+        return self._finish_cached(network, target, observation,
+                                   _UNIT_JITTERS)
 
     def estimate_all(self, network, observation, use_cache=True):
         """Nominal model for **every** target in one vectorized pass.
@@ -466,21 +467,6 @@ class EdgeCloudEnvironment:
     def cost_engine(self):
         """The batched nominal-cost engine (cache stats, invalidation)."""
         return self._cost_engine
-
-    def _run(self, network, target, observation, rng):
-        load = self._load_from(observation)
-        if target.location is Location.LOCAL:
-            return local_execution(
-                self.device, network, target, load, self.interference,
-                self.accuracy, rng=rng, noise=self.noise,
-            )
-        remote, link = self._remote_setup(target)
-        return remote_execution(
-            self.device, remote, network, target, link,
-            self._rssi_for(target, observation), self.accuracy,
-            rng=rng, noise=self.noise,
-            load=load, interference=self.interference,
-        )
 
     # ------------------------------------------------------------------
     # Layer-granularity execution (baseline schedulers)

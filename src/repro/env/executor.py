@@ -90,8 +90,9 @@ def jitter_plan(noise, is_remote):
       power_sigma)`` — 5 slots.
 
     A zero sigma draws nothing (matching :func:`_jitter`), which is why
-    the flags are needed: the batched path must skip exactly the slots
-    the scalar path skips to consume the RNG stream identically.
+    the flags are needed: the environment's vectorized draws must skip
+    exactly the slots these functions skip to consume the RNG stream
+    identically.
     """
     if is_remote:
         sigmas = (noise.server_sigma, noise.network_sigma,
@@ -130,12 +131,12 @@ def finish_local_execution(device, proc, network, target, load,
                            lat_jitter, pwr_jitter):
     """Complete a local execution from its nominal components + jitters.
 
-    The arithmetic here is the *single source of truth* shared by the
-    scalar path (:func:`local_execution`, which computes the nominal and
-    draws the jitters itself) and the batched path
-    (:meth:`EdgeCloudEnvironment.execute_batch`, which reads the nominal
-    from the exact cache and draws the jitters vectorized) — so the two
-    are bit-identical by construction.  ``load`` only feeds the
+    The arithmetic here is the *single source of truth* shared by
+    :func:`local_execution` (which walks the layers for the nominal and
+    draws the jitters itself) and the environment's execution path
+    (:meth:`EdgeCloudEnvironment.execute`, which reads the nominal from
+    the exact layer-term cache and draws the jitters in one call) — so
+    the two are bit-identical by construction.  ``load`` only feeds the
     contention power factor, so any object with ``cpu_util``/``mem_util``
     (a ``CoRunnerLoad`` or an ``Observation``) works.
     """
@@ -172,7 +173,7 @@ def local_execution(device, network, target, load, interference,
     nominal_ms = proc.network_latency_ms(
         network, target.precision, target.vf_index, slowdown
     )
-    # Draw order (the batched path's contract): latency, then power.
+    # Draw order (the environment's contract): latency, then power.
     lat_jitter = _jitter(rng, noise.latency_sigma)
     pwr_jitter = _jitter(rng, noise.power_sigma)
     return finish_local_execution(
@@ -186,11 +187,12 @@ def finish_remote_execution(device, network, target, link, rssi_dbm,
                             rx_base_ms, rtt_base_ms, tx_slow, jitters):
     """Complete a remote execution from its nominal components + jitters.
 
-    Shared bit-exact arithmetic for the scalar and batched paths (see
-    :func:`finish_local_execution`).  ``jitters`` is the 5-tuple
-    ``(server, tx, rx, rtt, power)`` in the scalar draw order; the
-    ``*_base_ms`` values are the load- and noise-free link/remote
-    nominals the scalar path computes inline.
+    Shared bit-exact arithmetic for :func:`remote_execution` and the
+    environment's execution path (see :func:`finish_local_execution`).
+    ``jitters`` is the 5-tuple ``(server, tx, rx, rtt, power)`` in the
+    scalar draw order; the ``*_base_ms`` values are the load- and
+    noise-free link/remote nominals :func:`remote_execution` computes
+    inline.
     """
     server_jitter, tx_jitter, rx_jitter, rtt_jitter, pwr_jitter = jitters
     remote_ms = remote_nominal_ms * server_jitter
@@ -248,7 +250,7 @@ def remote_execution(device, remote, network, target, link, rssi_dbm,
     tx_base_ms = link.transfer_ms(network.input_bytes, rssi_dbm)
     rx_base_ms = link.transfer_ms(network.output_bytes, rssi_dbm)
     rtt_base_ms = link.effective_rtt_ms(rssi_dbm)
-    # Draw order (the batched path's contract): server, tx, rx, rtt,
+    # Draw order (the environment's contract): server, tx, rx, rtt,
     # power.
     jitters = (
         _jitter(rng, noise.server_sigma),

@@ -70,6 +70,14 @@ class NeuralNetwork:
         if len(set(names)) != len(names):
             raise ConfigError(f"{self.name}: duplicate layer names")
         object.__setattr__(self, "layers", tuple(self.layers))
+        # The Table-III statistics are fixed by the (frozen) layer list:
+        # compute them once so state encoding does no per-request scan.
+        kinds = [layer.kind for layer in self.layers]
+        object.__setattr__(self, "_composition", LayerComposition(
+            kinds.count(LayerType.CONV), kinds.count(LayerType.FC),
+            kinds.count(LayerType.RC)))
+        object.__setattr__(self, "_total_macs",
+                           sum(layer.macs for layer in self.layers))
 
     # ------------------------------------------------------------------
     # Table-III style summary statistics (AutoScale state features)
@@ -81,30 +89,30 @@ class NeuralNetwork:
 
     @property
     def num_conv(self):
-        return self.count(LayerType.CONV)
+        return self._composition.conv
 
     @property
     def num_fc(self):
-        return self.count(LayerType.FC)
+        return self._composition.fc
 
     @property
     def num_rc(self):
-        return self.count(LayerType.RC)
+        return self._composition.rc
 
     @property
     def composition(self):
         """The (CONV, FC, RC) counts as a :class:`LayerComposition`."""
-        return LayerComposition(self.num_conv, self.num_fc, self.num_rc)
+        return self._composition
 
     @property
     def total_macs(self):
         """Total multiply-accumulate operations for one inference."""
-        return sum(layer.macs for layer in self.layers)
+        return self._total_macs
 
     @property
     def mega_macs(self):
         """Total MACs in millions — the unit of the S_MAC state feature."""
-        return self.total_macs / 1e6
+        return self._total_macs / 1e6
 
     @property
     def param_bytes(self):

@@ -501,10 +501,7 @@ class ServingPipeline:
           .select_action_batch`); while training (or under an active
           guard, whose ticks can flip training mid-drain) selection
           stays lazy at each group's first surviving request, preserving
-          the exact scalar RNG interleave;
-        - execution routes through the cached-nominal executor
-          (``step_with_action(cached=True)``), bit-identical to the
-          uncached path.
+          the exact scalar RNG interleave.
 
         Execution, reward, Q update, trace rows, guard feeds, and the
         shed ledger all remain per-request and byte-equal to
@@ -598,7 +595,7 @@ class ServingPipeline:
             action, explored = decisions[key]
             step = step_with_action(
                 use_case, action, observation, explored=explored,
-                cached=True, state=state,
+                state=state,
             )
             record_step(
                 step, use_case, at_ms=clock.now_ms,
