@@ -15,6 +15,16 @@ import pathlib
 
 import pytest
 
+from repro.analysis.contracts import (
+    contracts_enabled,
+    resolve_contracts,
+    set_contracts,
+)
+
+# The contract switch is resolved once, at import, before any benchmark
+# runs: resolve it again as a test run, as tests/conftest.py does.
+set_contracts(resolve_contracts(under_pytest=True))
+
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 PAPER_SCALE = os.environ.get("REPRO_BENCH_SCALE", "") == "paper"
@@ -27,6 +37,15 @@ def run_config():
     if PAPER_SCALE:
         return RunConfig(train_runs=100, adapt_runs=150, eval_runs=40)
     return RunConfig(train_runs=40, adapt_runs=120, eval_runs=12)
+
+
+@pytest.fixture()
+def contracts_switch():
+    """``contracts_switch(enabled)`` sets the contract switch for one
+    benchmark; the pytest session's value is restored afterwards."""
+    previous = contracts_enabled()
+    yield set_contracts
+    set_contracts(previous)
 
 
 @pytest.fixture()

@@ -5,7 +5,7 @@ backlog at batch 64 through the vectorized sweep must serve at least 3x
 more requests/second than the request-at-a-time baseline (the scalar
 drain forced to ``batch_max=1``), while producing identical outcomes —
 same targets, same measurements, in the same order.  Both arms run with
-``REPRO_CONTRACTS=0`` — the production configuration — so the
+contracts off — the production configuration — so the
 comparison measures the drain, not the instrumentation.  Results are
 persisted to ``benchmarks/results/BENCH_serving.json`` for the CI
 artifact.
@@ -82,8 +82,8 @@ def _signature(outcomes):
              served.outcome.energy_mj) for served in outcomes]
 
 
-def test_serving_drain_speedup(monkeypatch):
-    monkeypatch.setenv("REPRO_CONTRACTS", "0")
+def test_serving_drain_speedup(contracts_switch):
+    contracts_switch(False)
 
     # Warm both code paths (imports, numpy dispatch, caches) off the
     # clock.

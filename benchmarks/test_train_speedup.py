@@ -4,7 +4,7 @@ Acceptance criterion for the batched trainer: a paper-scale training
 campaign (100 runs per network, three networks) must run at least 5x
 more steps/second through :class:`~repro.core.batchtrain.BatchTrainer`
 than through the scalar ``AutoScale.run`` loop, while producing a
-byte-identical Q-table.  Both arms run with ``REPRO_CONTRACTS=0`` — the
+byte-identical Q-table.  Both arms run with contracts off — the
 production configuration — so the comparison measures the engine, not
 the instrumentation.  Results are persisted to
 ``benchmarks/results/BENCH_train.json`` for the CI artifact.
@@ -55,8 +55,8 @@ def _best_of(rounds, driver_of):
     return engine, best_s
 
 
-def test_training_campaign_speedup(monkeypatch):
-    monkeypatch.setenv("REPRO_CONTRACTS", "0")
+def test_training_campaign_speedup(contracts_switch):
+    contracts_switch(False)
 
     # Warm both code paths (imports, numpy dispatch) off the clock.
     warm = _fresh_engine()

@@ -39,6 +39,8 @@ from repro.analysis.contracts import (
     ensure_q_value,
     ensure_rssi_dbm,
     ensure_utilization,
+    resolve_contracts,
+    set_contracts,
 )
 from repro.analysis.flow import (
     APPROVED_CLOCK_FUNNELS,
@@ -66,6 +68,8 @@ __all__ = [
     "load_allowlist",
     "checked",
     "contracts_enabled",
+    "resolve_contracts",
+    "set_contracts",
     "ensure_duration_ms",
     "ensure_energy_mj",
     "ensure_finite",

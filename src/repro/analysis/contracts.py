@@ -10,7 +10,9 @@ the building blocks for ``__post_init__`` methods.  The :func:`checked`
 decorator is the *optional* layer for hot paths: it validates arguments
 and return values only while :func:`contracts_enabled` is true, which is
 the default under pytest (so every test run exercises the contracts) and
-opt-in elsewhere via ``REPRO_CONTRACTS=1``.
+opt-in elsewhere via ``REPRO_CONTRACTS=1``.  The switch is resolved once
+per process (:func:`resolve_contracts`) and can be overridden with
+:func:`set_contracts`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "RSSI_FLOOR_DBM",
     "RSSI_CEIL_DBM",
     "contracts_enabled",
+    "resolve_contracts",
+    "set_contracts",
     "ensure_finite",
     "ensure_power_mw",
     "ensure_latency_ms",
@@ -47,20 +51,48 @@ _TRUTHY = frozenset({"1", "true", "yes", "on"})
 _FALSY = frozenset({"0", "false", "no", "off"})
 
 
-def contracts_enabled():
-    """Whether :func:`checked` validates on this call.
+def resolve_contracts(under_pytest=None):
+    """The contract switch as the environment sets it.
 
-    ``REPRO_CONTRACTS=1`` forces contracts on, ``REPRO_CONTRACTS=0``
-    forces them off; with the variable unset they default to *on under
-    pytest* and off in production runs, keeping the per-inference hot
-    path free of validation overhead.
+    ``REPRO_CONTRACTS`` set to a truthy value (``1``/``true``/``yes``/
+    ``on``) forces contracts on, a falsy one (``0``/``false``/``no``/
+    ``off``) forces them off.  Otherwise they are on exactly when
+    ``under_pytest`` is true; ``None`` means "a test is running"
+    (``PYTEST_CURRENT_TEST`` is set).
     """
     flag = os.environ.get("REPRO_CONTRACTS", "").strip().lower()
     if flag in _TRUTHY:
         return True
     if flag in _FALSY:
         return False
-    return "PYTEST_CURRENT_TEST" in os.environ
+    if under_pytest is None:
+        under_pytest = "PYTEST_CURRENT_TEST" in os.environ
+    return under_pytest
+
+
+#: The process-wide switch, resolved once at import; only
+#: :func:`set_contracts` changes it afterwards.
+_ENABLED = resolve_contracts()
+
+
+def contracts_enabled():
+    """Whether :func:`checked` validates on this call.
+
+    Returns the switch resolved once per process by
+    :func:`resolve_contracts` (or last set by :func:`set_contracts`); it
+    reads no environment variable, keeping the per-inference hot path
+    free of validation overhead when contracts are off.
+    """
+    return _ENABLED
+
+
+def set_contracts(enabled):
+    """Turn contracts on or off for this process; returns the previous
+    value so a caller can restore it."""
+    global _ENABLED
+    previous = _ENABLED
+    _ENABLED = bool(enabled)
+    return previous
 
 
 def _reject(error_cls, name, value, requirement):

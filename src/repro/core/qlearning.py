@@ -168,7 +168,7 @@ class QTable:
 
     def best_value(self, state):
         """max_a Q(state, a)."""
-        return float(np.max(self.values[state]))
+        return float(self.values[state].max())
 
     def value(self, state, action):
         return float(self.values[state, action])

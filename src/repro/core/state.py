@@ -14,12 +14,23 @@ data; ``repro.core.discretize`` reimplements that derivation, and
 from __future__ import annotations
 
 import bisect
+import functools
+import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common import ConfigError, UnknownKeyError
 
 __all__ = ["StateFeature", "StateSpace", "table_i_state_space"]
+
+#: Features in the Table-I raw layout :meth:`StateSpace.encode` builds:
+#: four describing the network, then four describing runtime variance.
+_TABLE_I_WIDTH = 8
+_NETWORK_FEATURES = 4
+
+#: Distinct network objects a space remembers prefixes for; past this the
+#: cache starts over (a handful of networks is the normal working set).
+_PREFIX_CACHE_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -91,6 +102,22 @@ class StateSpace:
         if len(set(names)) != len(names):
             raise ConfigError("duplicate feature names")
         self._radices = tuple(f.num_bins for f in self.features)
+        # Table-I layout fast path for encode(): the network features
+        # never change for a network, so their mixed-radix prefix is
+        # cached per network object; the runtime bins are folded in with
+        # pre-bound binners and radices.  discretize()/index_of() stay
+        # the reference.
+        self._prefix_cache: Dict[int, Tuple[object, int]] = {}
+        self._runtime_binners: Optional[
+            Tuple[Callable[[float], int], ...]] = None
+        if len(self.features) == _TABLE_I_WIDTH:
+            runtime = self._radices[_NETWORK_FEATURES:]
+            self._runtime_size = math.prod(runtime)
+            self._runtime_radices = runtime[1:]
+            self._runtime_binners = tuple(
+                _binner(feature)
+                for feature in self.features[_NETWORK_FEATURES:]
+            )
 
     @property
     def size(self):
@@ -135,31 +162,46 @@ class StateSpace:
 
         Raw values follow the Table-I feature order: S_CONV, S_FC, S_RC,
         S_MAC, S_Co_CPU, S_Co_MEM, S_RSSI_W, S_RSSI_P.  Utilizations are
-        converted to percent, MACs to millions.
+        converted to percent, MACs to millions.  Equal to
+        ``index_of(discretize(raw))`` for every input.
         """
-        raw = (
-            network.num_conv,
-            network.num_fc,
-            network.num_rc,
-            network.mega_macs,
-            observation.cpu_util * 100.0,
-            observation.mem_util * 100.0,
-            observation.rssi_wlan_dbm,
-            observation.rssi_p2p_dbm,
+        if self._runtime_binners is None:
+            return self.index_of(self.discretize(
+                _raw_values(network, observation)))
+        # Keyed by id(): NeuralNetwork's dataclass hash walks its whole
+        # layer tuple.  The entry holds the network itself, so the id
+        # cannot be reused while it is cached; ``is`` confirms the match.
+        cached = self._prefix_cache.get(id(network))
+        if cached is None or cached[0] is not network:
+            cached = self._cache_prefix(network)
+        cpu_bin, mem_bin, wlan_bin, p2p_bin = self._runtime_binners
+        mem_radix, wlan_radix, p2p_radix = self._runtime_radices
+        return cached[1] + (
+            ((cpu_bin(observation.cpu_util * 100.0) * mem_radix
+              + mem_bin(observation.mem_util * 100.0)) * wlan_radix
+             + wlan_bin(observation.rssi_wlan_dbm)) * p2p_radix
+            + p2p_bin(observation.rssi_p2p_dbm)
         )
-        return self.index_of(self.discretize(raw))
+
+    def _cache_prefix(self, network):
+        """Remember ``network``'s offset: its four network-feature bins,
+        flattened, times the runtime sub-space size."""
+        prefix = 0
+        for feature, radix, value in zip(self.features, self._radices,
+                                         _network_values(network)):
+            prefix = prefix * radix + feature.discretize(value)
+        if len(self._prefix_cache) >= _PREFIX_CACHE_LIMIT:
+            self._prefix_cache.clear()
+        cached = (network, prefix * self._runtime_size)
+        self._prefix_cache[id(network)] = cached
+        return cached
 
     def describe(self, network, observation):
         """Human-readable per-feature labels (for logging/debugging)."""
-        raw = (
-            network.num_conv, network.num_fc, network.num_rc,
-            network.mega_macs, observation.cpu_util * 100.0,
-            observation.mem_util * 100.0, observation.rssi_wlan_dbm,
-            observation.rssi_p2p_dbm,
-        )
         return {
             feature.name: feature.label_of(value)
-            for feature, value in zip(self.features, raw)
+            for feature, value in zip(self.features,
+                                      _raw_values(network, observation))
         }
 
     def without(self, name):
@@ -173,6 +215,33 @@ class StateSpace:
         if len(remaining) == len(self.features):
             raise UnknownKeyError(f"no feature named {name!r}")
         return StateSpace(remaining)
+
+
+def _binner(feature):
+    """A one-argument callable equal to ``feature.discretize``, with the
+    bisect variant and edges bound up front."""
+    locate = (bisect.bisect_left if feature.edge_belongs_low
+              else bisect.bisect_right)
+    edges = feature.edges
+    if feature.zero_bin:
+        return lambda value: 0 if value == 0 else 1 + locate(edges, value)
+    return functools.partial(locate, edges)
+
+
+def _network_values(network):
+    """The four network raw values: S_CONV, S_FC, S_RC, S_MAC."""
+    return (network.num_conv, network.num_fc, network.num_rc,
+            network.mega_macs)
+
+
+def _raw_values(network, observation):
+    """The eight Table-I raw values, in feature order."""
+    return _network_values(network) + (
+        observation.cpu_util * 100.0,
+        observation.mem_util * 100.0,
+        observation.rssi_wlan_dbm,
+        observation.rssi_p2p_dbm,
+    )
 
 
 def table_i_state_space():

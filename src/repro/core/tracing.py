@@ -130,7 +130,9 @@ class TraceRecorder:
 
     ``max_records`` bounds the trace as a rolling window: when an append
     would reach the bound, the oldest half is dropped in one go
-    (amortized O(1) per record).  ``None`` keeps everything.
+    (amortized O(1) per record).  ``None`` keeps everything.  Record
+    indices count every record ever appended (``appended``), so they
+    stay unique across trims.
     """
 
     def __init__(self, max_records=None):
@@ -138,6 +140,7 @@ class TraceRecorder:
             raise ConfigError("max_records must be >= 1 (or None)")
         self.max_records = max_records
         self.records: List[TraceRecord] = []
+        self.appended = 0
 
     def __len__(self):
         return len(self.records)
@@ -150,6 +153,11 @@ class TraceRecorder:
         if self.max_records is not None \
                 and len(self.records) >= self.max_records:
             self.records = self.records[self.max_records // 2:]
+
+    def _append(self, record):
+        self.records.append(record)
+        self.appended += 1
+        return record
 
     def record_step(self, step, use_case, at_ms=None, status=None,
                     retries=0, failed_energy_mj=0.0, queue_delay_ms=0.0,
@@ -166,9 +174,9 @@ class TraceRecorder:
         result = step.result
         if status is None:
             status = "failed" if result.failed else "ok"
-        self.records.append(TraceRecord(
-            index=len(self.records),
-            at_ms=float(at_ms if at_ms is not None else len(self.records)),
+        return self._append(TraceRecord(
+            index=self.appended,
+            at_ms=float(at_ms if at_ms is not None else self.appended),
             use_case=use_case.name,
             target_key=step.target_key,
             latency_ms=result.latency_ms,
@@ -185,7 +193,6 @@ class TraceRecorder:
             tier=tier,
             reason=reason,
         ))
-        return self.records[-1]
 
     def record_result(self, result, use_case, at_ms=None, status=None,
                       retries=0, failed_energy_mj=0.0, queue_delay_ms=0.0,
@@ -195,9 +202,9 @@ class TraceRecorder:
         self._trim()
         if status is None:
             status = "failed" if getattr(result, "failed", False) else "ok"
-        self.records.append(TraceRecord(
-            index=len(self.records),
-            at_ms=float(at_ms if at_ms is not None else len(self.records)),
+        return self._append(TraceRecord(
+            index=self.appended,
+            at_ms=float(at_ms if at_ms is not None else self.appended),
             use_case=use_case.name,
             target_key=result.target_key,
             latency_ms=result.latency_ms,
@@ -212,7 +219,6 @@ class TraceRecorder:
             tier=tier,
             reason=reason,
         ))
-        return self.records[-1]
 
     def record_shed(self, shed, use_case, tier="normal", reason=""):
         """Capture a :class:`~repro.serving.SheddedRequest`.
@@ -226,8 +232,8 @@ class TraceRecorder:
         refusing work.
         """
         self._trim()
-        self.records.append(TraceRecord(
-            index=len(self.records),
+        return self._append(TraceRecord(
+            index=self.appended,
             at_ms=shed.shed_at_ms,
             use_case=use_case.name,
             target_key=shed.target_key,
@@ -241,7 +247,6 @@ class TraceRecorder:
             tier=tier,
             reason=reason,
         ))
-        return self.records[-1]
 
     # ------------------------------------------------------------------
     # Persistence (JSONL)
@@ -404,4 +409,7 @@ def load_trace(path, max_records=None):
             recorder.records.append(TraceRecord(**json.loads(line)))
     if max_records is not None and len(recorder.records) > max_records:
         recorder.records = recorder.records[-max_records:]
+    if recorder.records:
+        # New records continue after the last restored index.
+        recorder.appended = recorder.records[-1].index + 1
     return recorder

@@ -305,8 +305,9 @@ class EdgeCloudEnvironment:
         :func:`~repro.env.executor.remote_execution` bit for bit.  The
         jitters are drawn in those functions' order (local ``(latency,
         power)``, remote ``(server, tx, rx, rtt, power)``, zero-sigma
-        slots skipped) through one ``rng.normal(0.0, sigmas)`` call,
-        which NumPy fills element-wise from the same stream.
+        slots skipped) as ``sigmas * rng.standard_normal(n)``: the same
+        stream and values as ``rng.normal(0.0, sigmas)`` (see
+        :meth:`_jitter_plans`).
 
         With an active fault plan, a remote attempt may come back as a
         :class:`~repro.faults.FailedAttempt` that bills the energy the
@@ -320,7 +321,8 @@ class EdgeCloudEnvironment:
         _, local_plan, remote_plan = self._jitter_plans()
         positive_sigmas, draw_flags = (remote_plan if target.is_remote
                                        else local_plan)
-        draws = (self.rng.normal(0.0, positive_sigmas)
+        draws = (positive_sigmas
+                 * self.rng.standard_normal(positive_sigmas.size)
                  if positive_sigmas.size else ())
         jitters, _ = _spread_draws(draws, 0, draw_flags)
         result = self._finish_cached(network, target, observation, jitters)
@@ -352,9 +354,15 @@ class EdgeCloudEnvironment:
     def _jitter_plans(self):
         """Per-location jitter plans for the current noise config.
 
-        The positive sigmas are stored pre-converted to an ndarray so
-        the per-request ``rng.normal`` call skips the list-to-array
-        conversion (same draws either way).
+        The positive sigmas are stored pre-converted to an ndarray.
+        Draws are ``sigmas * rng.standard_normal(n)`` rather than
+        ``rng.normal(0.0, sigmas)``: NumPy computes the latter as
+        ``0.0 + sigma * z`` from the same standard-normal stream, which
+        differs only in the sign of a zero (and ``exp(±0) == 1``), and
+        skips its Python-level ``scale < 0`` pass.  That check cannot
+        fire here — :func:`~repro.env.executor.jitter_plan` keeps only
+        sigmas > 0 and :class:`~repro.env.executor.NoiseConfig` rejects
+        negative ones — and is made once below, when a plan is cached.
         """
         plans = getattr(self, "_jitter_plan_cache", None)
         if plans is None or plans[0] is not self.noise:
@@ -363,6 +371,10 @@ class EdgeCloudEnvironment:
             plans = (self.noise,
                      (np.asarray(local_sigmas), local_flags),
                      (np.asarray(remote_sigmas), remote_flags))
+            for sigmas, _ in plans[1:]:
+                if not (sigmas > 0.0).all():
+                    raise ConfigError(
+                        f"jitter sigmas must be positive, got {sigmas}")
             self._jitter_plan_cache = plans
         return plans
 
@@ -404,10 +416,10 @@ class EdgeCloudEnvironment:
         ``(latency, power)``, remote targets ``(server, tx, rx, rtt,
         power)`` — skipping any zero-sigma slot exactly as the scalar
         ``_jitter`` does.  All of the chunk's positive sigmas are drawn
-        in a **single** ``rng.normal(0.0, sigmas)`` call; NumPy's
-        ``Generator`` fills the array element-wise from the same stream,
-        so the draws (and the bit-generator state afterwards) are
-        bit-identical to scalar per-request draws.
+        as ``sigmas * rng.standard_normal(n)`` in a **single** call;
+        NumPy's ``Generator`` fills the array element-wise from the same
+        stream, so the draws (and the bit-generator state afterwards)
+        are bit-identical to scalar per-request draws.
 
         Nominal components and the finishing arithmetic are those of
         :meth:`execute`, so the returned :class:`ExecutionResult`\\ s
@@ -432,7 +444,9 @@ class EdgeCloudEnvironment:
             positive_sigmas, _ = (remote_plan if target.is_remote
                                   else local_plan)
             chunk_sigmas.extend(positive_sigmas)
-        draws = self.rng.normal(0.0, chunk_sigmas) if chunk_sigmas else ()
+        draws = (np.asarray(chunk_sigmas)
+                 * self.rng.standard_normal(len(chunk_sigmas))
+                 if chunk_sigmas else ())
         cursor = 0
         results = []
         for target, observation in zip(targets, observations):

@@ -87,13 +87,17 @@ class TraceCoRunner:
                 raise ConfigError(f"{self.name}: load outside [0, 1]")
         if self.jitter < 0:
             raise ConfigError(f"{self.name}: negative jitter")
+        # The phase list is fixed: sum it once, not on every sample.
+        object.__setattr__(self, "phases", tuple(self.phases))
+        object.__setattr__(self, "_period_ms",
+                           sum(duration for duration, _, _ in self.phases))
 
     @property
     def period_ms(self):
-        return sum(duration for duration, _, _ in self.phases)
+        return self._period_ms
 
     def _phase_at(self, now_ms):
-        offset = now_ms % self.period_ms
+        offset = now_ms % self._period_ms
         for duration, cpu, mem in self.phases:
             if offset < duration:
                 return cpu, mem

@@ -1,8 +1,13 @@
 """Contract-layer tests: violating values raise typed repro errors
-instead of propagating NaNs, and the ``checked`` gate obeys
-``REPRO_CONTRACTS``/pytest detection."""
+instead of propagating NaNs, and the ``checked`` gate obeys the switch
+resolved once from ``REPRO_CONTRACTS``/pytest detection."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
+from collections.abc import Mapping
 
 import pytest
 
@@ -19,6 +24,8 @@ from repro.analysis.contracts import (
     ensure_q_value,
     ensure_rssi_dbm,
     ensure_utilization,
+    resolve_contracts,
+    set_contracts,
 )
 from repro.common import ConfigError, SimulationError
 
@@ -88,25 +95,109 @@ class TestValidators:
             ensure_finite(bad)
 
 
+SRC_DIR = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+
+class _CountingEnviron(Mapping):
+    """A read-only ``os.environ`` stand-in that counts every lookup
+    (``get`` and ``in`` go through ``__getitem__``)."""
+
+    def __init__(self, environ):
+        self._environ = dict(environ)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self._environ[key]
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self._environ)
+
+    def __len__(self):
+        self.reads += 1
+        return len(self._environ)
+
+
+def _subprocess_switch(**overrides):
+    """``contracts_enabled()`` as a fresh interpreter resolves it."""
+    environ = {key: value for key, value in os.environ.items()
+               if key not in ("REPRO_CONTRACTS", "PYTEST_CURRENT_TEST")}
+    environ.update(overrides)
+    environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC_DIR), environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.analysis.contracts import contracts_enabled; "
+         "print(contracts_enabled())"],
+        env=environ, capture_output=True, text=True, check=True,
+    )
+    return completed.stdout.strip()
+
+
 class TestEnabledGate:
     def test_enabled_by_default_under_pytest(self):
-        # PYTEST_CURRENT_TEST is set while this test runs.
-        assert contracts_enabled()
+        # tests/conftest.py resolves the switch as a test run: on unless
+        # REPRO_CONTRACTS says otherwise.
+        assert contracts_enabled() is resolve_contracts(under_pytest=True)
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_CONTRACTS", "0")
-        assert not contracts_enabled()
+        assert not resolve_contracts()
+        assert not resolve_contracts(under_pytest=True)
         monkeypatch.setenv("REPRO_CONTRACTS", "off")
-        assert not contracts_enabled()
+        assert not resolve_contracts(under_pytest=True)
         monkeypatch.setenv("REPRO_CONTRACTS", "1")
-        assert contracts_enabled()
+        assert resolve_contracts(under_pytest=False)
 
     def test_forced_on_outside_pytest(self, monkeypatch):
         monkeypatch.delenv("PYTEST_CURRENT_TEST", raising=False)
         monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
-        assert not contracts_enabled()
+        assert not resolve_contracts()
+        assert resolve_contracts(under_pytest=True)
         monkeypatch.setenv("REPRO_CONTRACTS", "yes")
-        assert contracts_enabled()
+        assert resolve_contracts()
+
+    def test_no_environment_read_after_resolution(self):
+        counting = _CountingEnviron(os.environ)
+        # Swapped by hand, not with monkeypatch: pytest itself writes
+        # os.environ between a test and its fixture teardown.
+        real_environ, os.environ = os.environ, counting
+        try:
+            for _ in range(100):
+                contracts_enabled()
+            reads_after_calls = counting.reads
+            # The counter does see the resolver's reads.
+            resolve_contracts()
+        finally:
+            os.environ = real_environ
+        assert reads_after_calls == 0
+        assert counting.reads > 0
+
+    def test_set_contracts_round_trips(self):
+        original = contracts_enabled()
+        try:
+            assert set_contracts(False) is original
+            assert contracts_enabled() is False
+            assert set_contracts(True) is False
+            assert contracts_enabled() is True
+            assert set_contracts(0) is True
+            assert contracts_enabled() is False
+        finally:
+            assert set_contracts(original) is False
+        assert contracts_enabled() is original
+
+    @pytest.mark.parametrize("overrides, expected", [
+        ({"REPRO_CONTRACTS": "1"}, "True"),
+        ({"REPRO_CONTRACTS": "0"}, "False"),
+        ({}, "False"),
+        ({"PYTEST_CURRENT_TEST": "t.py::test (call)"}, "True"),
+        ({"REPRO_CONTRACTS": "0",
+          "PYTEST_CURRENT_TEST": "t.py::test (call)"}, "False"),
+    ])
+    def test_subprocess_resolves_from_its_environment(self, overrides,
+                                                      expected):
+        assert _subprocess_switch(**overrides) == expected
 
 
 class TestCheckedDecorator:
@@ -139,8 +230,8 @@ class TestCheckedDecorator:
         with pytest.raises(ConfigError, match="rssi_dbm"):
             f(5.0)
 
-    def test_disabled_via_env_skips_validation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONTRACTS", "0")
+    def test_disabled_switch_skips_validation(self, contracts_switch):
+        contracts_switch(False)
 
         @checked(latency_ms=ensure_latency_ms)
         def f(latency_ms):

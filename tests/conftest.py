@@ -2,10 +2,30 @@
 
 import pytest
 
+from repro.analysis.contracts import (
+    contracts_enabled,
+    resolve_contracts,
+    set_contracts,
+)
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.qos import use_case_for
 from repro.hardware.devices import build_device
 from repro.models.zoo import load_zoo
+
+# The contract switch is resolved once, at import, and
+# PYTEST_CURRENT_TEST is not set while modules import: resolve it again
+# as a test run, so contracts are on unless REPRO_CONTRACTS says
+# otherwise.
+set_contracts(resolve_contracts(under_pytest=True))
+
+
+@pytest.fixture()
+def contracts_switch():
+    """``contracts_switch(enabled)`` sets the contract switch for one
+    test; the pytest session's value is restored afterwards."""
+    previous = contracts_enabled()
+    yield set_contracts
+    set_contracts(previous)
 
 
 @pytest.fixture(scope="session")

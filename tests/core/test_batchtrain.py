@@ -124,10 +124,10 @@ class TestBatchTrainerParity:
         _assert_protocol_parity(scenario)
 
     @pytest.mark.parametrize("scenario", ["S1", "D3"])
-    def test_full_protocol_contracts_off(self, scenario, monkeypatch):
-        # REPRO_CONTRACTS=0 switches the trainer to its inlined fast
+    def test_full_protocol_contracts_off(self, scenario, contracts_switch):
+        # Contracts off switches the trainer to its inlined fast
         # completers; parity must hold bit-for-bit there too.
-        monkeypatch.setenv("REPRO_CONTRACTS", "0")
+        contracts_switch(False)
         _assert_protocol_parity(scenario)
 
     def test_run_validates_budget(self):

@@ -116,6 +116,20 @@ class TestCheckpointRestore:
         assert len(restored.trace) == 5
         assert restored.trace.records[-1] == service.trace.records[-1]
 
+    def test_restore_continues_trace_indices(self, service, tmp_path):
+        for _ in range(12):
+            service.handle("mobilenet_v3_non_streaming")
+        service.checkpoint(tmp_path / "svc")
+        env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
+                                   seed=7)
+        restored = AutoScaleService.restore(tmp_path / "svc", env,
+                                            trace_limit=5)
+        restored.register(service.use_case("mobilenet_v3_non_streaming"))
+        restored.handle("mobilenet_v3_non_streaming")
+        indices = [record.index for record in restored.trace.records]
+        assert indices[-1] == 12
+        assert len(set(indices)) == len(indices)
+
     def test_restore_without_trace_starts_empty(self, service, tmp_path):
         from repro.core.persistence import save_engine
         save_engine(service.engine, tmp_path / "bare")

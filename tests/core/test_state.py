@@ -1,5 +1,9 @@
 """Tests for the Table-I state space."""
 
+import itertools
+import math
+
+import numpy as np
 import pytest
 
 from repro.common import ConfigError
@@ -107,6 +111,90 @@ class TestEncoding:
         for bins in itertools.product(*(range(r) for r in radices)):
             seen.add(space.index_of(bins))
         assert len(seen) == space.size
+
+
+def _reference_index(space, network, observation):
+    """``index_of(discretize(raw))`` — the general encoding path."""
+    raw = (network.num_conv, network.num_fc, network.num_rc,
+           network.mega_macs, observation.cpu_util * 100.0,
+           observation.mem_util * 100.0, observation.rssi_wlan_dbm,
+           observation.rssi_p2p_dbm)
+    return space.index_of(space.discretize(raw))
+
+
+def _on_and_beside(value, low, high):
+    """``value`` and its float neighbours, clipped to [low, high]."""
+    return sorted({min(max(v, low), high) for v in (
+        math.nextafter(value, -math.inf), value,
+        math.nextafter(value, math.inf))})
+
+
+#: Utilizations on and beside the 0 %, 25 % and 75 % bin edges (the
+#: percent conversion can round a neighbour onto the edge; both paths
+#: must agree on it either way), plus interior and extreme values.
+UTILS = sorted(set(
+    _on_and_beside(0.0, 0.0, 1.0) + _on_and_beside(0.25, 0.0, 1.0)
+    + _on_and_beside(0.75, 0.0, 1.0)
+    + [0.249999, 0.250001, 0.749999, 0.750001, 0.5, 1.0]
+))
+#: RSSI on and beside the -80 dBm edge, plus the window ends.
+RSSIS = sorted(set(_on_and_beside(-80.0, -120.0, -10.0)
+                   + [-80.0001, -79.9999, -100.0, -55.0, -30.0]))
+
+
+class TestPrefixEncoder:
+    """encode()'s per-network prefix path equals the reference path."""
+
+    def test_equals_reference_on_every_bin_edge(self, space, zoo):
+        for network in zoo.values():
+            for cpu, mem, wlan, p2p in itertools.product(UTILS, UTILS,
+                                                         RSSIS, RSSIS):
+                observation = Observation(cpu_util=cpu, mem_util=mem,
+                                          rssi_wlan_dbm=wlan,
+                                          rssi_p2p_dbm=p2p)
+                assert space.encode(network, observation) \
+                    == _reference_index(space, network, observation), (
+                        network.name, observation)
+
+    def test_equals_reference_on_random_observations(self, space, zoo):
+        rng = np.random.default_rng(0)
+        networks = list(zoo.values())
+        for _ in range(2000):
+            network = networks[rng.integers(len(networks))]
+            observation = Observation(
+                cpu_util=float(rng.random()), mem_util=float(rng.random()),
+                rssi_wlan_dbm=float(rng.uniform(-100.0, -30.0)),
+                rssi_p2p_dbm=float(rng.uniform(-100.0, -30.0)),
+            )
+            assert space.encode(network, observation) \
+                == _reference_index(space, network, observation)
+
+    def test_equal_networks_are_distinct_cache_entries(self, space, zoo):
+        from repro.models.zoo import build_network
+
+        observation = Observation(cpu_util=0.3)
+        for network in zoo.values():
+            rebuilt = build_network(network.name)
+            assert rebuilt is not network
+            assert space.encode(rebuilt, observation) \
+                == space.encode(network, observation) \
+                == _reference_index(space, network, observation)
+
+    def test_without_space_takes_the_general_path(self, space, zoo):
+        smaller = space.without("s_rssi_p")
+        calls = []
+        general = smaller.discretize
+
+        def spy(raw):
+            calls.append(raw)
+            return general(raw)
+
+        smaller.discretize = spy
+        # The general path checks the raw width against the space: the
+        # Table-I tuple no longer fits a seven-feature space.
+        with pytest.raises(ConfigError, match="expected 7 values, got 8"):
+            smaller.encode(zoo["resnet_50"], Observation())
+        assert len(calls) == 1
 
 
 class TestAblation:

@@ -213,12 +213,13 @@ class TestSlowdownBelowOne:
             env.execute_batch(zoo["resnet_50"], [local_target] * 3,
                               [observation] * 3)
 
-    @pytest.mark.parametrize("contracts", ("1", "0"))
-    def test_batch_trainer(self, env, zoo, monkeypatch, contracts):
+    @pytest.mark.parametrize("contracts", (pytest.param(True, id="1"),
+                                           pytest.param(False, id="0")))
+    def test_batch_trainer(self, env, zoo, contracts_switch, contracts):
         # Contracts on: the trainer runs the instrumented ``execute``;
         # off: its inlined local completer, whose table miss must check
         # the slowdown itself.
-        monkeypatch.setenv("REPRO_CONTRACTS", contracts)
+        contracts_switch(contracts)
         engine = AutoScale(env, seed=4)
         local = np.array([not target.is_remote
                           for target in engine.action_space.targets])

@@ -196,3 +196,19 @@ class TestRollingWindow:
 
     def test_unbounded_by_default(self):
         assert TraceRecorder().max_records is None
+
+    def test_indices_stay_unique_across_trims(self, zoo):
+        # Regression: indices were len(records), so after a trim dropped
+        # the oldest half they repeated ([2, 3, 2] here) and migrations()
+        # reported [3, 2].
+        env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
+                                   seed=4)
+        case = use_case_for(zoo["mobilenet_v3"])
+        local, remote = env.targets()[0], env.targets()[-1]
+        recorder = TraceRecorder(max_records=4)
+        for target in (local, remote) * 3 + (local,):
+            recorder.record_result(env.execute(case.network, target), case)
+        assert recorder.appended == 7
+        assert [r.index for r in recorder.records] == [4, 5, 6]
+        assert [r.at_ms for r in recorder.records] == [4.0, 5.0, 6.0]
+        assert recorder.migrations() == [5, 6]
