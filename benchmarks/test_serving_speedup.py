@@ -1,9 +1,10 @@
-"""Microbenchmark: the vectorized serving drain vs request-at-a-time.
+"""Microbenchmark: the serving drain vs request-at-a-time.
 
-Acceptance criterion for the SoA decision plane: draining a 512-request
-backlog at batch 64 through the vectorized sweep must serve at least 3x
-more requests/second than the request-at-a-time baseline (the scalar
-drain forced to ``batch_max=1``), while producing identical outcomes —
+Acceptance criterion for the serving decision plane: draining a
+512-request backlog at batch 64 through the pipeline's drain must serve
+at least 3x more requests/second than the request-at-a-time baseline
+(the reference drain of ``tests/serving/reference_drain.py`` at
+``batch_max=1``), while producing identical outcomes —
 same targets, same measurements, in the same order.  Both arms run with
 contracts off — the production configuration — so the
 comparison measures the drain, not the instrumentation.  Results are
@@ -25,6 +26,7 @@ from repro.serving.arrivals import Arrival
 from repro.serving.brownout import BrownoutConfig
 from repro.serving.pipeline import ServingConfig, ServingPipeline
 from repro.serving.shedder import DeadlinePolicy
+from tests.serving.reference_drain import ReferencePipeline
 
 REQUESTS = 512
 BATCH = 64
@@ -46,7 +48,7 @@ def _fresh_service(seed=0):
     return service, case
 
 
-def _config(vectorized, batch_max):
+def _config(batch_max):
     # Unbounded queue + huge deadlines: all 512 requests drain and
     # nothing sheds, so both arms execute exactly the same work.
     return ServingConfig(
@@ -54,25 +56,24 @@ def _config(vectorized, batch_max):
         deadline=DeadlinePolicy(qos_factor=1e6),
         brownout=BrownoutConfig.disabled(),
         batch_max=batch_max,
-        vectorized=vectorized,
     )
 
 
-def _drain(vectorized, batch_max):
+def _drain(pipeline_class, batch_max):
     """Time one full backlog drain; returns (outcomes, seconds)."""
     service, case = _fresh_service()
     arrivals = [Arrival(0.0, case.name) for _ in range(REQUESTS)]
-    pipeline = ServingPipeline(service, _config(vectorized, batch_max))
+    pipeline = pipeline_class(service, _config(batch_max))
     started_s = time.perf_counter()
     outcomes = pipeline.serve(arrivals)
     return outcomes, time.perf_counter() - started_s
 
 
-def _best_of(rounds, vectorized, batch_max):
+def _best_of(rounds, pipeline_class, batch_max):
     """Min-of-N timing — robust against transient host contention."""
-    outcomes, best_s = _drain(vectorized, batch_max)
+    outcomes, best_s = _drain(pipeline_class, batch_max)
     for _ in range(rounds - 1):
-        outcomes, seconds = _drain(vectorized, batch_max)
+        outcomes, seconds = _drain(pipeline_class, batch_max)
         best_s = min(best_s, seconds)
     return outcomes, best_s
 
@@ -87,15 +88,15 @@ def test_serving_drain_speedup(contracts_switch):
 
     # Warm both code paths (imports, numpy dispatch, caches) off the
     # clock.
-    _drain(True, BATCH)
-    _drain(False, 1)
+    _drain(ServingPipeline, BATCH)
+    _drain(ReferencePipeline, 1)
 
-    scalar_outcomes, scalar_s = _best_of(3, False, 1)
-    vector_outcomes, vector_s = _best_of(3, True, BATCH)
+    scalar_outcomes, scalar_s = _best_of(3, ReferencePipeline, 1)
+    vector_outcomes, vector_s = _best_of(3, ServingPipeline, BATCH)
 
     assert len(scalar_outcomes) == REQUESTS
     assert _signature(scalar_outcomes) == _signature(vector_outcomes), (
-        "vectorized drain diverged from the request-at-a-time baseline"
+        "the drain diverged from the request-at-a-time baseline"
     )
 
     speedup = scalar_s / vector_s
@@ -116,7 +117,7 @@ def test_serving_drain_speedup(contracts_switch):
     print()
     print(f"request-at-a-time: {scalar_s * 1000:9.1f} ms "
           f"({REQUESTS / scalar_s:8.0f} req/s)")
-    print(f"vectorized @ {BATCH}:  {vector_s * 1000:9.1f} ms "
+    print(f"drain @ {BATCH}:       {vector_s * 1000:9.1f} ms "
           f"({REQUESTS / vector_s:8.0f} req/s)")
     print(f"speedup:           {speedup:9.2f}x")
     assert speedup >= MIN_SPEEDUP

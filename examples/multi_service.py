@@ -29,7 +29,7 @@ from repro.env.workload import (
     SessionWorkload,
     run_workload,
 )
-from repro.evalharness.tracing import TraceRecorder
+from repro.core.tracing import TraceRecorder
 
 WARMUP_RUNS = 150
 AFTERNOON_MS = 10 * 60 * 1000.0  # ten (virtual) minutes

@@ -16,8 +16,9 @@ runtime".  We implement:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import norm
 
 from repro.baselines.base import Scheduler
 from repro.baselines.features import (
@@ -74,13 +75,26 @@ class GaussianProcess:
         return mean, np.sqrt(np.clip(var, 1e-12, None))
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _normal_cdf(z):
+    """Standard normal CDF, ``erfc(-z / sqrt(2)) / 2`` elementwise."""
+    return 0.5 * _erfc(-np.asarray(z) / math.sqrt(2.0))
+
+
+def _normal_pdf(z):
+    """Standard normal density."""
+    return np.exp(-z ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
+
+
 def expected_improvement(mean, std, best, minimize=True):
     """EI of candidate points against the incumbent ``best``."""
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     improvement = (best - mean) if minimize else (mean - best)
     z = improvement / np.maximum(std, 1e-12)
-    ei = improvement * norm.cdf(z) + std * norm.pdf(z)
+    ei = improvement * _normal_cdf(z) + std * _normal_pdf(z)
     return np.where(std > 1e-12, ei, np.maximum(improvement, 0.0))
 
 

@@ -9,10 +9,30 @@ actions by integer column.
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
+
 from repro.common import ConfigError, UnknownKeyError
 from repro.env.target import enumerate_targets
 
-__all__ = ["ActionSpace"]
+__all__ = ["ActionSpace", "intersect_masks"]
+
+
+def intersect_masks(*masks):
+    """The AND of optional boolean action masks (``None`` = everything).
+
+    Returns ``None`` when every mask is ``None`` and the lone mask
+    itself when only one is set; otherwise a fresh array.  No input is
+    ever written, so callers may pass cached vectors (the brownout
+    tiers, :attr:`ActionSpace.local_mask`).  An all-``False`` result is
+    passed through as is: selection treats it as no mask.
+    """
+    combined = None
+    for mask in masks:
+        if mask is not None:
+            combined = mask if combined is None else combined & mask
+    return combined
 
 
 class ActionSpace:
@@ -58,3 +78,31 @@ class ActionSpace:
 
     def __contains__(self, target):
         return getattr(target, "key", None) in self._index
+
+    @cached_property
+    def local_mask(self):
+        """Read-only boolean mask of the on-device (non-remote) actions."""
+        mask = np.array([not target.is_remote for target in self.targets],
+                        dtype=bool)
+        mask.flags.writeable = False
+        return mask
+
+    def positions_in(self, targets):
+        """Each action's index within ``targets``, or ``None`` when the
+        two orders coincide.
+
+        Nominal sweeps are index-aligned with the environment's full
+        ``targets()``; an engine may act over a subset or a reordering.
+        Reading a sweep at these positions aligns it with action indices.
+        """
+        keys = [target.key for target in targets]
+        if keys == [target.key for target in self.targets]:
+            return None
+        index = {key: position for position, key in enumerate(keys)}
+        try:
+            return np.array([index[target.key] for target in self.targets],
+                            dtype=int)
+        except KeyError as missing:
+            raise UnknownKeyError(
+                f"action {missing.args[0]} is not among the given targets"
+            ) from None

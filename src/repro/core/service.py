@@ -29,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from repro.common import ConfigError, UnknownKeyError, make_rng
+from repro.core.action import intersect_masks
 from repro.core.engine import AutoScale
 from repro.core.persistence import (
     load_engine,
@@ -148,8 +149,8 @@ class AutoScaleService:
         while attempts <= policy.max_retries:
             step = self.engine.step(
                 use_case,
-                allowed_actions=self._combine_masks(self._allowed_actions(),
-                                                    extra_allowed),
+                allowed_actions=intersect_masks(self.action_mask(),
+                                                extra_allowed),
                 deadline_ms=deadline_ms,
             )
             attempts += 1
@@ -221,8 +222,12 @@ class AutoScaleService:
     # Circuit breakers
     # ------------------------------------------------------------------
 
-    def _allowed_actions(self):
-        """Boolean action mask from the breakers, or ``None`` (= all)."""
+    def action_mask(self):
+        """Boolean action mask from the breakers, or ``None`` (= all).
+
+        Public so the serving pipeline can intersect it with its own
+        brownout mask before selection.
+        """
         if not self._breakers:
             return None
         now_ms = self.environment.clock.now_ms
@@ -236,23 +241,6 @@ class AutoScaleService:
             if not verdicts.get(space.target(index).key, True):
                 allowed[index] = False
         return allowed
-
-    def action_mask(self):
-        """The current breaker-derived action mask (``None`` = all).
-
-        Public so the serving pipeline can intersect it with its own
-        brownout mask before selection.
-        """
-        return self._allowed_actions()
-
-    @staticmethod
-    def _combine_masks(first, second):
-        """Intersect two optional boolean masks (``None`` = everything)."""
-        if first is None:
-            return second
-        if second is None:
-            return first
-        return first & second
 
     def _note_outcome(self, step):
         """Feed one attempt's outcome to its target's breaker."""

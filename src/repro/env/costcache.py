@@ -134,6 +134,18 @@ class NominalSweep:
     def result_for(self, target):
         return self.result(self.index_of(target))
 
+    def take(self, positions):
+        """This sweep re-indexed by ``positions`` (e.g. an action space's
+        :meth:`~repro.core.action.ActionSpace.positions_in`)."""
+        return NominalSweep(
+            targets=tuple(self.targets[index] for index in positions),
+            latency_ms=_readonly(self.latency_ms[positions]),
+            energy_mj=_readonly(self.energy_mj[positions]),
+            estimated_energy_mj=_readonly(
+                self.estimated_energy_mj[positions]),
+            accuracy_pct=_readonly(self.accuracy_pct[positions]),
+        )
+
     def argbest(self, use_case, indices=None):
         """Footnote-8 ranking: index of the best feasible target.
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common import ConfigError
+from repro.core.action import intersect_masks
 from repro.models.quantization import Precision
 
 __all__ = ["BrownoutTier", "BrownoutConfig", "BrownoutController"]
@@ -151,7 +152,8 @@ class BrownoutController:
             if int8.any():
                 return int8
             return reduced if reduced.any() else None
-        for cut in (local & int8, local & reduced, local):
+        for cut in (intersect_masks(local, int8),
+                    intersect_masks(local, reduced), local):
             if cut.any():
                 return cut
         return None

@@ -12,26 +12,32 @@ arrival stream on the environment's virtual clock:
 3. Per request, the deadline-aware shedder drops work that already
    blew its deadline (``EXPIRED``) or provably cannot make it even on
    the fastest allowed target (``INFEASIBLE``, via the cached nominal
-   sweep) — *before* any energy is spent.
+   sweep) — *before* any energy is spent.  Floors are memoized per
+   network and re-derived from a fresh observation once the clock has
+   moved, unless the scenario in force is static and unchanged.
 4. Surviving requests are coalesced by ``(network, state)``: the engine
-   selects once per group (one Q-table row read) and completes each
-   request through :meth:`~repro.core.engine.AutoScale.step_with_action`
-   — execution, reward, and Q update remain per-request, so the
-   learning dynamics match the scalar path exactly.
+   selects once per group (one Q-table row read; with a frozen engine
+   and nothing that can flip mid-drain, all groups in one batched
+   argmax) and completes each request through
+   :meth:`~repro.core.engine.AutoScale.step_with_action` — execution,
+   reward, and Q update remain per-request, so the learning dynamics
+   match request-at-a-time serving exactly.  Under a
+   :class:`~repro.faults.ResiliencePolicy` each request instead goes
+   through the service's retry/breaker path on its own.
 
-The drain itself has two implementations behind one dispatcher.  The
-**vectorized** plane (structure-of-arrays, the default) runs whenever
-the scenario is static and the resilient path is off: states and
-feasibility floors are gathered once per distinct network from the
-drain-start observation (one ``estimate_all`` sweep each), per-request
-shed checks collapse to two float compares, frozen-table selections for
-every coalescing group go through one batched argmax pass
-(:meth:`~repro.core.engine.AutoScale.select_action_batch`), and
-execution routes through the cached-nominal executor.  Everything
-observable — trace rows, Q-table bytes, shed ledgers, RNG streams, the
-virtual clock — is bit-identical to the **scalar** drain, which remains
-the reference implementation (and the only one used under dynamic
-scenarios or resilience, where re-observation draws RNG per request).
+There is one drain for every configuration.  Its parity oracle, the
+request-at-a-time reference drain, lives with the tests
+(``tests/serving/reference_drain.py``): every observable — trace rows,
+Q-table bytes, shed ledgers, RNG streams, the virtual clock — is
+bit-identical between the two under static and dynamic scenarios,
+resilience, and the guard's fallback stages.
+
+Masks are composed in one place,
+:func:`~repro.core.action.intersect_masks`; nominal sweeps are read
+through the action space's positions
+(:meth:`~repro.core.action.ActionSpace.positions_in`), so masks, sweeps
+and actions share one index space even when the engine acts over a
+subset of the environment's targets.
 
 ``ServingConfig.disabled()`` bypasses all of it and reproduces the
 direct :meth:`~repro.core.service.AutoScaleService.handle` path
@@ -50,6 +56,7 @@ import numpy as np
 
 from repro.analysis.contracts import ensure_duration_ms
 from repro.common import ConfigError
+from repro.core.action import intersect_masks
 from repro.guard import GuardConfig, GuardStage, PolicyGuard
 from repro.serving.arrivals import Arrival
 from repro.sim.events import EventKind
@@ -65,7 +72,6 @@ from repro.serving.shedder import (
     ShedStats,
     SheddedRequest,
     min_feasible_latency_ms,
-    shed_verdict,
 )
 
 __all__ = ["ServingConfig", "ServedRequest", "ServingPipeline"]
@@ -85,10 +91,6 @@ class ServingConfig:
             ``queue_capacity`` alone.
         brownout: the degradation controller's watermarks.
         batch_max: cap on requests drained per cycle (``None`` = all).
-        vectorized: use the structure-of-arrays drain whenever it is
-            eligible (static scenario, resilience off).  Bit-identical
-            to the scalar drain in every observable; ``False`` forces
-            the scalar reference implementation.
     """
 
     enabled: bool = True
@@ -97,7 +99,6 @@ class ServingConfig:
     shedding: bool = True
     brownout: BrownoutConfig = BrownoutConfig()
     batch_max: Optional[int] = None
-    vectorized: bool = True
 
     def __post_init__(self):
         if self.batch_max is not None and self.batch_max < 1:
@@ -170,6 +171,8 @@ class ServingPipeline:
         self.guard = (getattr(service, "guard", None)
                       or PolicyGuard(GuardConfig.disabled()))
         self._guard_handle = None
+        self._positions = service.engine.action_space.positions_in(
+            service.environment.targets())
 
     # ------------------------------------------------------------------
     # Entry point
@@ -361,22 +364,6 @@ class ServingPipeline:
             tier=self.brownout.tier.value,
         ))
 
-    def _drain_cycle(self, outcomes):
-        """One drain: observe once, shed the hopeless, coalesce the rest.
-
-        Dispatches to the structure-of-arrays sweep when it is provably
-        bit-identical — static scenario (re-observation draws no RNG
-        and never changes a value) and the resilient path off (retries
-        re-observe data-dependently) — and to the scalar reference
-        implementation otherwise.
-        """
-        if (self.config.vectorized
-                and not self.service.resilience.enabled
-                and self.service.environment.scenario_is_static):
-            self._drain_cycle_vectorized(outcomes)
-        else:
-            self._drain_cycle_scalar(outcomes)
-
     def _decision_key(self, use_case, state, shadowing, browned):
         """The drain coalescing key for one request.
 
@@ -390,122 +377,35 @@ class ServingPipeline:
             return (use_case.network.name, state, use_case.name)
         return (use_case.network.name, state)
 
-    def _drain_cycle_scalar(self, outcomes):
-        """The reference drain: per-request observation refresh and
-        feasibility sweeps.  Correct under every configuration."""
-        service = self.service
-        env = service.environment
-        engine = service.engine
-        tier = self.brownout.observe_pressure(self.queue.depth)
-        batch = self.queue.take_batch(self.config.batch_max)
-        observation = env.observe()
-        mask = self._combined_mask()
-        browned = self.brownout.tier is not BrownoutTier.NORMAL
-        # One selection per (network, state) group; execution, reward,
-        # and Q update stay per-request via step_with_action.
-        decisions = {}
-        # The feasibility floor must be judged against *current*
-        # conditions: earlier requests in the batch advance the clock,
-        # so the drain-start observation's load/RSSI go stale.  Track
-        # the freshest sample and re-observe only when time has moved —
-        # a batch of one (the pinned zero-overload path) never
-        # re-observes, so that path stays bit-identical.
-        feasibility_obs = observation
-        for request in batch:
-            now_ms = env.clock.now_ms
-            use_case = request.use_case
-            if self.config.shedding:
-                if request.remaining_ms(now_ms) < 0:
-                    self._shed(request, ShedReason.EXPIRED, now_ms,
-                               outcomes)
-                    continue
-                if feasibility_obs.now_ms != now_ms:
-                    feasibility_obs = env.observe()
-                sweep = env.estimate_all(use_case.network,
-                                         feasibility_obs)
-                floor_ms = min_feasible_latency_ms(sweep, mask)
-                if now_ms + floor_ms > request.deadline_ms:
-                    self._shed(request, ShedReason.INFEASIBLE, now_ms,
-                               outcomes)
-                    continue
-            wait_ms = request.queue_delay_ms(now_ms)
-            guard = self.guard
-            shadowing = (guard.enabled
-                         and guard.stage.depth >= GuardStage.SHADOW.depth)
-            if service.resilience.enabled:
-                outcome = self._serve_resilient(use_case, wait_ms, tier)
-                if guard.enabled:
-                    if outcome.failed:
-                        guard.note_refusal()
-                    else:
-                        guard.note_qos(wait_ms + outcome.latency_ms
-                                       <= use_case.qos_ms)
-            else:
-                state = engine.observe_state(use_case.network, observation)
-                key = self._decision_key(use_case, state, shadowing,
-                                         browned)
-                if key not in decisions:
-                    if shadowing:
-                        # SHADOW/DEGRADE: the nominal-argmin baseline
-                        # decides (zero extra energy — the sweep is the
-                        # cached cost model, not an execution); the Q
-                        # update below still runs off-policy.
-                        decisions[key] = (self._shadow_action(
-                            use_case, observation, mask,
-                            local_only=guard.stage is GuardStage.DEGRADE,
-                        ), False)
-                    elif browned:
-                        decisions[key] = (self._brownout_action(
-                            use_case, observation, mask), False)
-                    else:
-                        decisions[key] = engine.select_action(state,
-                                                              allowed=mask)
-                action, explored = decisions[key]
-                step = engine.step_with_action(
-                    use_case, action, observation, explored=explored,
-                )
-                service.trace.record_step(
-                    step, use_case, at_ms=env.clock.now_ms,
-                    queue_delay_ms=wait_ms, tier=tier.value,
-                    reason=self._trace_reason(),
-                )
-                outcome = step.result
-                if guard.enabled:
-                    self._feed_guard(step, use_case, observation, wait_ms)
-            self.shed_stats.note_served()
-            outcomes.append(ServedRequest(
-                request.arrival, outcome,
-                queue_delay_ms=wait_ms, tier=tier.value,
-            ))
+    def _drain_cycle(self, outcomes):
+        """One drain: observe once, shed the hopeless, coalesce the rest.
 
-    def _drain_cycle_vectorized(self, outcomes):
-        """The structure-of-arrays drain: one sweep per network, fused
-        admit→shed→decide over the whole batch.
+        Decisions read the drain-start observation: states are encoded
+        once per distinct network and selections made once per
+        coalescing group.  Execution, reward, Q update, trace rows,
+        guard feeds, and the shed ledger stay per-request.
 
-        Under a static scenario the drain-start observation never goes
-        stale in *value* — re-observation would return the same load and
-        RSSI and draw nothing from the RNG — so the per-request
-        observe/sweep/encode work of the scalar drain collapses into a
-        per-network prepass:
-
-        - one ``estimate_all`` sweep and one feasibility floor per
-          distinct network (the scalar path recomputes both per
-          request);
-        - one encoded state per network;
-        - per-request shed checks reduced to two float compares against
-          the cached floor (:func:`~repro.serving.shedder.shed_verdict`,
-          EXPIRED before INFEASIBLE — the clock still moves mid-batch);
-        - with a frozen engine and no guard, selection is RNG-free, so
-          every coalescing group is decided upfront in one batched
-          argmax pass (:meth:`~repro.core.engine.AutoScale
-          .select_action_batch`); while training (or under an active
-          guard, whose ticks can flip training mid-drain) selection
-          stays lazy at each group's first surviving request, preserving
-          the exact scalar RNG interleave.
-
-        Execution, reward, Q update, trace rows, guard feeds, and the
-        shed ledger all remain per-request and byte-equal to
-        :meth:`_drain_cycle_scalar`.
+        - **Feasibility floors** are judged against *current*
+          conditions.  Once the clock has moved the drain re-observes
+          and forgets its per-network floors — unless the scenario in
+          force is static and is the very object that produced the
+          current sample, in which case a re-observation would draw
+          nothing and return the same values.  The identity check
+          matters: a ``TIMER`` can swap the scenario mid-drain.  A
+          request that already blew its deadline sheds ``EXPIRED``
+          before any re-observation.
+        - **Selection** stays lazy at each group's first surviving
+          request, preserving the exact RNG interleave of
+          request-at-a-time serving.  With a frozen engine, no guard,
+          no brownout, and resilience off, selection is RNG-free and
+          nothing can flip mid-drain, so every group is decided upfront
+          in one batched argmax pass
+          (:meth:`~repro.core.engine.AutoScale.select_action_batch`);
+          deciding a group that later sheds every member is
+          unobservable.
+        - **Resilient** requests leave the batch individually: each goes
+          through :meth:`_serve_resilient`, whose retries re-observe
+          data-dependently.
         """
         service = self.service
         env = service.environment
@@ -513,36 +413,28 @@ class ServingPipeline:
         tier = self.brownout.observe_pressure(self.queue.depth)
         batch = self.queue.take_batch(self.config.batch_max)
         observation = env.observe()
-        mask = self._combined_mask()
+        mask = intersect_masks(service.action_mask(),
+                               self.brownout.mask(engine.action_space))
         browned = self.brownout.tier is not BrownoutTier.NORMAL
         shedding = self.config.shedding
+        resilient = service.resilience.enabled
         guard = self.guard
 
-        # SoA prepass: states and floors are functions of the constant
-        # observation — gather once per distinct network.
         states = {}
-        floors = {}
-        for request in batch:
-            network = request.use_case.network
-            if network.name not in states:
-                states[network.name] = engine.observe_state(network,
-                                                            observation)
-                if shedding:
-                    sweep = env.estimate_all(network, observation)
-                    floors[network.name] = min_feasible_latency_ms(
-                        sweep, mask)
+
+        def state_of(network):
+            state = states.get(network.name)
+            if state is None:
+                state = engine.observe_state(network, observation)
+                states[network.name] = state
+            return state
 
         decisions = {}
-        if not engine.training and not guard.enabled and not browned:
-            # Frozen NORMAL tier: selection is RNG-free and nothing can
-            # flip mid-drain (guard ticks are off), so deciding a group
-            # that later sheds every member is unobservable — decide
-            # all groups upfront in one batched pass.
+        if not (engine.training or guard.enabled or browned or resilient):
             group_keys = []
             for request in batch:
-                use_case = request.use_case
-                key = (use_case.network.name,
-                       states[use_case.network.name])
+                network = request.use_case.network
+                key = (network.name, state_of(network))
                 if key not in decisions:
                     decisions[key] = None
                     group_keys.append(key)
@@ -552,6 +444,12 @@ class ServingPipeline:
                     [key[1] for key in group_keys], allowed=mask),
             ):
                 decisions[key] = decision
+
+        # The freshest feasibility sample, the static scenario that drew
+        # it (None for a dynamic one), and its per-network floors.
+        feasibility_obs = observation
+        static_source = env.scenario if env.scenario_is_static else None
+        floors = {}
 
         # Loop invariants, hoisted: the clock object, tier label, and
         # bound methods are fixed for the drain; the reason code is too
@@ -568,48 +466,90 @@ class ServingPipeline:
         for request in batch:
             now_ms = clock.now_ms
             use_case = request.use_case
-            network_name = use_case.network.name
+            network = use_case.network
             if shedding:
-                verdict = shed_verdict(now_ms, request.deadline_ms,
-                                       floors[network_name])
-                if verdict is not None:
-                    self._shed(request, verdict, now_ms, outcomes)
+                if request.remaining_ms(now_ms) < 0:
+                    self._shed(request, ShedReason.EXPIRED, now_ms,
+                               outcomes)
+                    continue
+                if (feasibility_obs.now_ms != now_ms
+                        and env.scenario is not static_source):
+                    feasibility_obs = env.observe()
+                    static_source = (env.scenario if env.scenario_is_static
+                                     else None)
+                    floors.clear()
+                floor_ms = floors.get(network.name)
+                if floor_ms is None:
+                    floor_ms = min_feasible_latency_ms(
+                        self._sweep(network, feasibility_obs), mask)
+                    floors[network.name] = floor_ms
+                if now_ms + floor_ms > request.deadline_ms:
+                    self._shed(request, ShedReason.INFEASIBLE, now_ms,
+                               outcomes)
                     continue
             wait_ms = request.queue_delay_ms(now_ms)
-            shadowing = (guard_enabled
-                         and guard.stage.depth >= GuardStage.SHADOW.depth)
-            state = states[network_name]
-            key = self._decision_key(use_case, state, shadowing, browned)
-            if key not in decisions:
-                if shadowing:
-                    decisions[key] = (self._shadow_action(
-                        use_case, observation, mask,
-                        local_only=guard.stage is GuardStage.DEGRADE,
-                    ), False)
-                elif browned:
-                    decisions[key] = (self._brownout_action(
-                        use_case, observation, mask), False)
-                else:
-                    decisions[key] = engine.select_action(state,
-                                                          allowed=mask)
-            action, explored = decisions[key]
-            step = step_with_action(
-                use_case, action, observation, explored=explored,
-                state=state,
-            )
-            record_step(
-                step, use_case, at_ms=clock.now_ms,
-                queue_delay_ms=wait_ms, tier=tier_label,
-                reason=(self._trace_reason() if guard_enabled
-                        else fixed_reason),
-            )
-            if guard_enabled:
-                self._feed_guard(step, use_case, observation, wait_ms)
+            if resilient:
+                outcome = self._serve_resilient(use_case, wait_ms, tier)
+                if guard_enabled:
+                    if outcome.failed:
+                        guard.note_refusal()
+                    else:
+                        guard.note_qos(wait_ms + outcome.latency_ms
+                                       <= use_case.qos_ms)
+            else:
+                state = state_of(network)
+                shadowing = (guard_enabled and guard.stage.depth
+                             >= GuardStage.SHADOW.depth)
+                key = self._decision_key(use_case, state, shadowing,
+                                         browned)
+                if key not in decisions:
+                    if shadowing:
+                        # SHADOW/DEGRADE: the nominal-argmin baseline
+                        # decides (zero extra energy — the sweep is the
+                        # cached cost model, not an execution); the Q
+                        # update below still runs off-policy.
+                        decisions[key] = (self._shadow_action(
+                            use_case, observation, mask,
+                            local_only=guard.stage is GuardStage.DEGRADE,
+                        ), False)
+                    elif browned:
+                        decisions[key] = (self._brownout_action(
+                            use_case, observation, mask), False)
+                    else:
+                        decisions[key] = engine.select_action(
+                            state, allowed=mask)
+                action, explored = decisions[key]
+                step = step_with_action(
+                    use_case, action, observation, explored=explored,
+                    state=state,
+                )
+                record_step(
+                    step, use_case, at_ms=clock.now_ms,
+                    queue_delay_ms=wait_ms, tier=tier_label,
+                    reason=(self._trace_reason() if guard_enabled
+                            else fixed_reason),
+                )
+                if guard_enabled:
+                    self._feed_guard(step, use_case, observation, wait_ms)
+                outcome = step.result
             note_served()
             outcomes.append(ServedRequest(
-                request.arrival, step.result,
-                queue_delay_ms=wait_ms, tier=tier.value,
+                request.arrival, outcome,
+                queue_delay_ms=wait_ms, tier=tier_label,
             ))
+
+    def _sweep(self, network, observation):
+        """The nominal sweep, indexed like the engine's action space.
+
+        ``estimate_all`` is aligned with the environment's full
+        ``targets()``; masks and actions index the engine's space, which
+        may be a subset.  The default space maps one-to-one, so it reads
+        the sweep as is.
+        """
+        sweep = self.service.environment.estimate_all(network, observation)
+        if self._positions is not None:
+            sweep = sweep.take(self._positions)
+        return sweep
 
     def _brownout_action(self, use_case, observation, mask):
         """Nominal-cost selection for an escalated brownout tier.
@@ -622,13 +562,12 @@ class ServingPipeline:
         the QoS budget (falling back to the cheapest allowed outright).
         The executed step still feeds the Q update as usual.
         """
-        env = self.service.environment
-        sweep = env.estimate_all(use_case.network, observation)
-        latencies = np.asarray(sweep.latency_ms)
-        energies = np.asarray(sweep.energy_mj)
-        indices = (np.flatnonzero(np.asarray(mask, dtype=bool))
-                   if mask is not None and np.any(mask)
-                   else np.arange(len(latencies)))
+        sweep = self._sweep(use_case.network, observation)
+        latencies = sweep.latency_ms
+        energies = sweep.energy_mj
+        indices = (np.flatnonzero(mask)
+                   if mask is not None and mask.any()
+                   else np.arange(len(sweep)))
         fits = indices[latencies[indices] <= use_case.qos_ms]
         pool = fits if len(fits) else indices
         return int(pool[np.argmin(energies[pool])])
@@ -645,23 +584,18 @@ class ServingPipeline:
         set only when the masks leave no local target at all.  Breaker
         and brownout masks keep applying in both stages.
         """
-        env = self.service.environment
-        sweep = env.estimate_all(use_case.network, observation)
-        energies = np.asarray(sweep.energy_mj)
-        allowed = (np.asarray(mask, dtype=bool)
-                   if mask is not None and np.any(mask)
-                   else np.ones(len(energies), dtype=bool))
+        sweep = self._sweep(use_case.network, observation)
+        allowed = mask if mask is not None and mask.any() else None
         if local_only:
-            local = np.array(
-                [not target.is_remote for target in env.targets()],
-                dtype=bool,
-            )
-            if np.any(allowed & local):
-                allowed = allowed & local
-        indices = [int(i) for i in np.flatnonzero(allowed)]
+            fenced = intersect_masks(
+                allowed, self.service.engine.action_space.local_mask)
+            if fenced.any():
+                allowed = fenced
+        indices = (np.arange(len(sweep)) if allowed is None
+                   else np.flatnonzero(allowed))
         best = sweep.argbest(use_case, indices=indices)
         if best is None:
-            best = int(indices[int(np.argmin(energies[indices]))])
+            best = indices[np.argmin(sweep.energy_mj[indices])]
         return int(best)
 
     def _feed_guard(self, step, use_case, observation, wait_ms):
@@ -678,9 +612,8 @@ class ServingPipeline:
         if result.failed:
             guard.note_refusal()
         else:
-            sweep = self.service.environment.estimate_all(
-                use_case.network, observation)
-            nominal_mj = float(np.asarray(sweep.energy_mj)[step.action])
+            sweep = self._sweep(use_case.network, observation)
+            nominal_mj = float(sweep.energy_mj[step.action])
             guard.note_result(
                 f"{use_case.network.name}|{step.state}",
                 nominal_mj, result.energy_mj,
@@ -709,39 +642,20 @@ class ServingPipeline:
         tail may already belong to another request (or be gone entirely)
         once the rolling window starts evicting.
         """
-        service = self.service
-        extra_allowed = self.brownout.mask(service.engine.action_space)
-        if self.guard.enabled and self.guard.stage is GuardStage.DEGRADE:
-            # DEGRADE on the resilient path: keep the retry/breaker
-            # machinery but fence selection to local targets, which the
-            # fault plan cannot touch.
-            env = service.environment
-            local = np.array(
-                [not target.is_remote for target in env.targets()],
-                dtype=bool,
-            )
-            if np.any(local):
-                extra_allowed = (local if extra_allowed is None
-                                 else extra_allowed & local)
-        return service._handle_resilient(
-            use_case, extra_allowed=extra_allowed,
+        space = self.service.engine.action_space
+        # DEGRADE keeps the retry/breaker machinery but fences selection
+        # to local targets, which the fault plan cannot touch.
+        degrade = (self.guard.enabled
+                   and self.guard.stage is GuardStage.DEGRADE
+                   and space.local_mask.any())
+        return self.service._handle_resilient(
+            use_case,
+            extra_allowed=intersect_masks(
+                self.brownout.mask(space),
+                space.local_mask if degrade else None),
             queue_delay_ms=wait_ms, tier=tier.value,
             reason=self._trace_reason(),
         )
-
-    def _combined_mask(self):
-        """Breaker mask AND brownout mask (``None`` = everything)."""
-        service = self.service
-        space = service.engine.action_space
-        masks = [mask for mask in (service.action_mask(),
-                                   self.brownout.mask(space))
-                 if mask is not None]
-        if not masks:
-            return None
-        combined = masks[0].copy()
-        for mask in masks[1:]:
-            combined &= mask
-        return combined
 
     # ------------------------------------------------------------------
     # Introspection

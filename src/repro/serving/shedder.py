@@ -230,9 +230,9 @@ def shed_verdict(now_ms, deadline_ms, floor_ms):
     """Classify one head-of-queue request against its deadline.
 
     Returns the :class:`ShedReason` the pipeline must apply, or ``None``
-    when the request is servable.  The vectorized drain uses this
-    against its per-network cached floor; the comparisons mirror the
-    scalar drain's inline checks exactly (same inclusive-deadline
+    when the request is servable.  The serving drain makes the same two
+    comparisons inline, split so that it re-observes for the floor only
+    once a request has survived the expiry check (same inclusive-deadline
     convention as :class:`DeadlinePolicy`, pinned by the boundary
     tests).  The order matters: ``EXPIRED`` is checked *before*
     ``INFEASIBLE`` because mid-batch clock movement (earlier requests in

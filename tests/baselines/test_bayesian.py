@@ -1,11 +1,20 @@
 """Tests for the Bayesian-optimization baseline."""
 
+import math
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines.bayesian import (
     BayesianOptScheduler,
     GaussianProcess,
+    _normal_cdf,
+    _normal_pdf,
     expected_improvement,
 )
 from repro.common import ConfigError, make_rng
@@ -66,6 +75,35 @@ class TestExpectedImprovement:
         ei = expected_improvement(np.array([2.0]), np.array([0.0]),
                                   best=1.0, minimize=False)
         assert ei[0] == pytest.approx(1.0)
+
+    def test_unit_spread_at_the_incumbent(self):
+        """At ``mean == best`` with unit spread, EI is the normal
+        density at zero: 1 / sqrt(2 pi)."""
+        ei = expected_improvement(np.array([1.0]), np.array([1.0]),
+                                  best=1.0)
+        assert ei[0] == 1.0 / math.sqrt(2.0 * math.pi)
+
+    def test_normal_closed_forms_match_scipy(self):
+        """The erfc/exp closed forms agree with scipy's normal: the
+        density exactly, the CDF to 1.3e-14 relative on [-8, 8]."""
+        stats = pytest.importorskip("scipy.stats")
+        z = np.linspace(-8.0, 8.0, 4001).reshape(-1, 1)
+        assert (_normal_pdf(z) == stats.norm.pdf(z)).all()
+        cdf = _normal_cdf(z)
+        assert cdf.shape == z.shape
+        np.testing.assert_allclose(cdf, stats.norm.cdf(z), rtol=1.3e-14,
+                                   atol=0.0)
+
+
+def test_import_leaves_scipy_out():
+    """Importing the baselines must not pull in scipy (~0.6 s)."""
+    code = ("import sys, repro.baselines; "
+            "sys.exit(any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules))")
+    env = {**os.environ,
+           "PYTHONPATH": str(pathlib.Path(repro.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code],
+                          env=env).returncode == 0
 
 
 class TestBayesianOptScheduler:

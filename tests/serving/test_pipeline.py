@@ -20,10 +20,12 @@ from repro.serving.arrivals import Arrival, PoissonArrivals, TraceArrivals
 from repro.serving.brownout import BrownoutConfig
 from repro.serving.pipeline import ServingConfig, ServingPipeline
 from repro.serving.shedder import DeadlinePolicy
+from repro.sim.events import EventKind
+from tests.serving.reference_drain import ReferencePipeline
 
 
-def _service(seed, think_time_ms=0.0):
-    env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
+def _service(seed, think_time_ms=0.0, scenario="S1"):
+    env = EdgeCloudEnvironment(build_device("mi8pro"), scenario=scenario,
                                seed=seed, think_time_ms=think_time_ms)
     return AutoScaleService(env, seed=seed)
 
@@ -399,38 +401,76 @@ class TestStaleFeasibilityRefresh:
         assert count_observes(piped, ServingConfig()) \
             == count_observes(direct, ServingConfig.disabled())
 
-    def test_late_batch_requests_use_fresh_observations(self, zoo):
-        """The *scalar* drain must re-observe once the clock moves —
-        it is the reference implementation under dynamic scenarios,
-        where a stale sample would hide load/RSSI changes."""
-        case = use_case_for(zoo["mobilenet_v3"])
-        service = _service(5)
-        service.register(case)
+    @staticmethod
+    def _track_sweeps(service):
+        """Record ``(observation time, clock, cpu_util)`` per sweep."""
         env = service.environment
-        feasibility_times = []
+        sweeps = []
         inner_estimate_all = env.estimate_all
 
         def tracking(network, observation, use_cache=True):
-            feasibility_times.append(observation.now_ms)
+            sweeps.append((observation.now_ms, env.clock.now_ms,
+                           observation.cpu_util))
             return inner_estimate_all(network, observation,
                                       use_cache=use_cache)
 
         env.estimate_all = tracking
+        return sweeps
+
+    def test_late_batch_requests_use_fresh_observations(self, zoo):
+        """Under a dynamic scenario the drain re-observes for every
+        feasibility check once the clock has moved — a stale sample
+        would hide load/RSSI changes."""
+        case = use_case_for(zoo["mobilenet_v3"])
+        service = _service(5, scenario="D2")
+        service.register(case)
+        sweeps = self._track_sweeps(service)
         pipeline = ServingPipeline(service, ServingConfig(
-            brownout=BrownoutConfig.disabled(), vectorized=False))
-        pipeline.serve([Arrival(0.0, case.name) for _ in range(6)])
-        executed = [t for t in feasibility_times]
-        # The first check uses the drain-start sample; once the clock
-        # has moved, later checks must not reuse its timestamp.
-        assert executed[0] == 0.0
-        later = [t for t in executed[1:] if t > 0.0]
-        assert later, "late-batch feasibility checks never refreshed"
+            deadline=DeadlinePolicy(qos_factor=50.0),
+            brownout=BrownoutConfig.disabled()))
+        outcomes = pipeline.serve([Arrival(0.0, case.name)
+                                   for _ in range(6)])
+        assert all(outcome.delivered for outcome in outcomes)
+        # One batch of six, each served request moves the clock: six
+        # checks, the first on the drain-start sample, every one on a
+        # sample taken at the instant of its check.
+        assert len(sweeps) == 6
+        assert sweeps[0][:2] == (0.0, 0.0)
+        assert all(observed_ms == now_ms
+                   for observed_ms, now_ms, _ in sweeps)
+        assert len({observed_ms for observed_ms, _, _ in sweeps}) == 6
+
+    def test_scenario_swap_mid_drain_reobserves(self, zoo):
+        """A static scenario skips re-observation only while it is the
+        one that drew the current sample: a ``TIMER`` swapping S1 for S2
+        mid-drain forces one fresh observation, under S2."""
+        case = use_case_for(zoo["mobilenet_v3"])
+        service = _service(5)
+        service.register(case)
+        env = service.environment
+        sweeps = self._track_sweeps(service)
+
+        def swap(event):
+            env.scenario = "S2"
+
+        # Fires inside the first request's execution.
+        env.kernel.schedule(1.0, EventKind.TIMER, callback=swap)
+        outcomes = ServingPipeline(service, ServingConfig(
+            deadline=DeadlinePolicy(qos_factor=50.0),
+            brownout=BrownoutConfig.disabled(),
+        )).serve([Arrival(0.0, case.name) for _ in range(6)])
+        assert all(outcome.delivered for outcome in outcomes)
+        assert len(sweeps) == 2
+        (first_ms, _, s1_util), (second_ms, now_ms, s2_util) = sweeps
+        assert first_ms == 0.0
+        assert second_ms == now_ms > 0.0
+        assert s2_util > s1_util
 
     def test_vectorized_drain_sweeps_once_per_network(self, zoo):
-        """The vectorized drain computes one feasibility sweep per
-        distinct network at the drain-start observation — no per-request
-        re-sweeps — while shedding exactly what the scalar drain sheds
-        (value-identical floors under a static scenario)."""
+        """Under a static scenario the drain computes one feasibility
+        sweep per distinct network at the drain-start observation — no
+        per-request re-sweeps — while shedding exactly what the
+        request-at-a-time reference sheds (value-identical floors)."""
         case = use_case_for(zoo["mobilenet_v3"])
         service = _service(5)
         service.register(case)
@@ -454,11 +494,82 @@ class TestStaleFeasibilityRefresh:
 
         twin = _service(5)
         twin.register(case)
-        reference = ServingPipeline(twin, ServingConfig(
-            brownout=BrownoutConfig.disabled(), vectorized=False,
+        reference = ReferencePipeline(twin, ServingConfig(
+            brownout=BrownoutConfig.disabled(),
         )).serve([Arrival(0.0, case.name) for _ in range(6)])
         assert [type(o.outcome).__name__ for o in outcomes] \
             == [type(o.outcome).__name__ for o in reference]
+
+
+class TestSubsetActionSpace:
+    """Nominal sweeps are indexed like ``env.targets()``; masks and
+    actions like the engine's action space.  With a non-default space
+    (here the five remote targets of 66) the pipeline must read sweeps
+    at the space's positions: floors, brownout and shadow selections,
+    and the guard's nominal residual all in action indices."""
+
+    @staticmethod
+    def _remote_only_service(seed, guard=None):
+        from repro.core.action import ActionSpace
+        from repro.core.engine import AutoScale
+
+        env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
+                                   seed=seed, think_time_ms=0.0)
+        space = ActionSpace([t for t in env.targets() if t.is_remote])
+        engine = AutoScale(env, seed=seed, action_space=space)
+        return AutoScaleService(env, engine=engine, seed=seed, guard=guard)
+
+    def test_brownout_selects_within_the_space(self, zoo):
+        case = use_case_for(zoo["mobilenet_v3"])
+        service = self._remote_only_service(3)
+        service.register(case)
+        pipeline = ServingPipeline(service, ServingConfig(
+            queue_capacity=None,
+            deadline=DeadlinePolicy(qos_factor=50.0),
+            brownout=BrownoutConfig(enter_depth=2, exit_depth=1),
+        ))
+        outcomes = pipeline.serve([Arrival(0.0, case.name)
+                                   for _ in range(10)])
+        assert pipeline.brownout.escalations >= 1
+        keys = {target.key for target in service.engine.action_space}
+        browned = [record for record in service.trace.records
+                   if record.tier != "normal" and record.status == "ok"]
+        assert browned
+        assert {record.target_key for record in browned} <= keys
+        # REDUCED_PRECISION admits the space's one INT8 action.
+        assert {record.target_key for record in browned} \
+            == {"connected/dsp/int8"}
+        assert all(outcome.delivered for outcome in outcomes)
+
+    def test_shadow_selection_and_guard_residual_use_actions(self, zoo):
+        from repro.guard import GuardConfig, GuardStage, PolicyGuard
+
+        case = use_case_for(zoo["mobilenet_v3"])
+        guard = PolicyGuard(GuardConfig(recover_ticks=1_000))
+        guard.stage = GuardStage.SHADOW
+        service = self._remote_only_service(4, guard=guard)
+        service.register(case)
+        env = service.environment
+        sweep = env.estimate_all(case.network, env.observe())
+        best = sweep.argbest(case, indices=[
+            sweep.index_of(target) for target in service.engine.action_space
+        ])
+        expected = sweep.targets[best].key
+        nominal = {}
+        inner_note = guard.note_result
+
+        def recording(bucket_key, nominal_mj, actual_mj, qos_ok):
+            nominal.setdefault("mj", nominal_mj)
+            return inner_note(bucket_key, nominal_mj, actual_mj, qos_ok)
+
+        guard.note_result = recording
+        ServingPipeline(service, ServingConfig(
+            brownout=BrownoutConfig.disabled(),
+        )).serve([Arrival(0.0, case.name)])
+        record = service.trace.records[0]
+        assert record.reason == "guard/shadow"
+        assert record.target_key == expected
+        assert nominal["mj"] == sweep.energy_mj[best]
 
 
 class TestBrownout:

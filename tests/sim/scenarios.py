@@ -26,10 +26,12 @@ from dataclasses import asdict
 
 from repro.common import make_rng
 from repro.core.service import AutoScaleService
+from repro.core.tracing import TraceRecorder
 from repro.env.environment import EdgeCloudEnvironment
-from repro.env.qos import use_case_for
+from repro.env.qos import UseCase, use_case_for
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.faults.resilience import ResiliencePolicy
+from repro.guard import GuardConfig, PolicyGuard
 from repro.hardware.devices import build_device
 from repro.models.zoo import load_zoo
 from repro.serving.arrivals import (
@@ -39,6 +41,7 @@ from repro.serving.arrivals import (
     merge_arrivals,
 )
 from repro.serving.pipeline import ServingConfig, ServingPipeline
+from repro.sim.events import EventKind
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 
@@ -84,11 +87,13 @@ def _snapshot(service, pipeline=None, outcomes=None):
     return observables
 
 
-def _service(seed, think_time_ms=0.0, faults=None, resilience=None):
-    env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
+def _service(seed, think_time_ms=0.0, faults=None, resilience=None,
+             scenario="S1", guard=None):
+    env = EdgeCloudEnvironment(build_device("mi8pro"), scenario=scenario,
                                seed=seed, think_time_ms=think_time_ms,
                                faults=faults)
-    return AutoScaleService(env, seed=seed, resilience=resilience)
+    return AutoScaleService(env, seed=seed, resilience=resilience,
+                            guard=guard)
 
 
 def pipelined_overload():
@@ -277,6 +282,68 @@ def outage_probe():
     }
 
 
+def dynamic_overload():
+    """Bursty traffic under D2 (web-browser co-runner), learning on.
+
+    Every observation draws from the RNG and moves the load, so the
+    drain must re-observe for each feasibility check once the clock has
+    moved; brownout escalates under the bursts.
+    """
+    zoo = load_zoo()
+    case = use_case_for(zoo["mobilenet_v3"])
+    arrivals = MarkovModulatedArrivals(
+        case.name, calm_per_s=5.0, burst_per_s=60.0,
+        calm_dwell_ms=6_000.0, burst_dwell_ms=2_000.0,
+    ).generate(20_000.0, make_rng(2025))
+    service = _service(808, scenario="D2")
+    service.register(case)
+    pipeline = ServingPipeline(service, ServingConfig())
+    outcomes = pipeline.serve(arrivals)
+    return _snapshot(service, pipeline, outcomes)
+
+
+def drift_chaos_guarded():
+    """A mid-drain S1 -> S2 drift with the guard and resilience on.
+
+    A ``TIMER`` event swaps the scenario while a burst is draining, so
+    feasibility checks after the swap must re-observe under S2.  Mild
+    chaos faults exercise the retry path; the guard climbs to DEGRADE
+    (shadow decisions, the local fence on resilient selection).
+    """
+    zoo = load_zoo()
+    case = UseCase(name="drift-resnet_50", network=zoo["resnet_50"],
+                   qos_ms=200.0, accuracy_target=70.0)
+    service = _service(909, resilience=ResiliencePolicy(),
+                       guard=PolicyGuard(GuardConfig()))
+    service.register(case)
+    for _ in range(300):
+        service.handle(case.name)
+    env = service.environment
+    env.rewind_clock()
+    service.trace = TraceRecorder(max_records=service.trace_limit)
+    env.faults = FaultPlan(
+        loss_scale=1.0, abort_prob=0.02, straggler_prob=0.02,
+        outages=(OutageWindow("cloud", start_ms=5_000.0,
+                              duration_ms=2_000.0, period_ms=30_000.0),),
+    )
+
+    def drift(event):
+        env.scenario = "S2"
+
+    env.kernel.schedule(30_000.0, EventKind.TIMER, payload="drift:S2",
+                        callback=drift)
+    arrivals = merge_arrivals(
+        PoissonArrivals(case.name, arrivals_per_s=3.0)
+        .generate(60_000.0, make_rng(91)),
+        # A burst just before the drift keeps a batch draining across it.
+        TraceArrivals(tuple((29_900.0 + 5.0 * index, case.name)
+                            for index in range(8))).generate(60_000.0),
+    )
+    pipeline = ServingPipeline(service, ServingConfig())
+    outcomes = pipeline.serve(arrivals)
+    return _snapshot(service, pipeline, outcomes)
+
+
 SCENARIOS = {
     "pipelined_overload": pipelined_overload,
     "outage_probe": outage_probe,
@@ -285,6 +352,8 @@ SCENARIOS = {
     "merged_streams": merged_streams,
     "midrun_fault_attach": midrun_fault_attach,
     "episode_rewind": episode_rewind,
+    "dynamic_overload": dynamic_overload,
+    "drift_chaos_guarded": drift_chaos_guarded,
 }
 
 

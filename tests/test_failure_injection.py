@@ -259,7 +259,7 @@ class TestBreakerIntegration:
 
     def test_open_breakers_mask_selection(self, zoo):
         service = self._run(zoo, seed=41)
-        allowed = service._allowed_actions()
+        allowed = service.action_mask()
         if allowed is None:
             pytest.skip("no breaker open at snapshot time")
         space = service.engine.action_space
