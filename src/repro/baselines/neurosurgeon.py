@@ -87,11 +87,17 @@ class NeurosurgeonScheduler(Scheduler):
     def __init__(self):
         self._local_models = {}
         self._remote_models = {}
+        self._split_costs = {}
         self._local_target = None
         self._remote_target = None
 
     def train(self, environment, use_cases, rng=None):
-        """Fit the per-layer models on both sides of the split."""
+        """Fit the per-layer models on both sides of the split.
+
+        The fitted models are then evaluated once per network: every
+        candidate split's predicted local-head and remote-tail latency
+        and its wire payload, which :meth:`plan` reads per query.
+        """
         device = environment.device
         cloud = environment.cloud
         if cloud is None:
@@ -107,65 +113,59 @@ class NeurosurgeonScheduler(Scheduler):
             Location.CLOUD, remote_role, Precision.FP32
         )
         for use_case in use_cases:
-            layers = use_case.network.layers
-            self._local_models[use_case.network.name] = \
-                LayerLatencyModel().fit(cpu, layers, Precision.FP32,
-                                        rng=rng)
-            self._remote_models[use_case.network.name] = \
-                LayerLatencyModel().fit(remote_proc, layers,
-                                        Precision.FP32, rng=rng)
+            network = use_case.network
+            layers = network.layers
+            local_model = LayerLatencyModel().fit(cpu, layers,
+                                                  Precision.FP32, rng=rng)
+            remote_model = LayerLatencyModel().fit(remote_proc, layers,
+                                                   Precision.FP32, rng=rng)
+            self._local_models[network.name] = local_model
+            self._remote_models[network.name] = remote_model
+            local_layer = local_model.predict_layers(layers)
+            remote_layer = remote_model.predict_layers(layers)
+            self._split_costs[network.name] = (
+                np.concatenate([[0.0], np.cumsum(local_layer)]),
+                np.concatenate(
+                    [np.cumsum(remote_layer[::-1])[::-1], [0.0]]),
+                np.array([network.transfer_bytes_at(point)
+                          for point in range(len(layers) + 1)],
+                         dtype=np.float64),
+            )
 
     def plan(self, environment, use_case, observation):
-        """The predicted-best split point for the current conditions."""
+        """The predicted-best split point for the current conditions.
+
+        Every split point is scored at once, with the per-point
+        expressions of a scalar sweep over ``0..num_layers``: the
+        minimum predicted energy among the points meeting the QoS
+        target (all points when none does), ties to the earliest point.
+        """
         name = use_case.network.name
         if name not in self._local_models:
             raise ConfigError(f"{self.name} not trained for {name}")
-        network = use_case.network
+        local_prefix, remote_suffix, wire_bytes = self._split_costs[name]
+        num_layers = len(wire_bytes) - 1
         device = environment.device
         link = environment.wifi
         rssi_dbm = observation.rssi_wlan_dbm
-        ms_per_byte = (
-            link.transfer_ms(1.0, rssi_dbm)
-        )
+        ms_per_byte = link.transfer_ms(1.0, rssi_dbm)
         rtt = link.effective_rtt_ms(rssi_dbm)
-
-        local_layer = self._local_models[name].predict_layers(network.layers)
-        remote_layer = self._remote_models[name].predict_layers(
-            network.layers
-        )
-        local_prefix = np.concatenate([[0.0], np.cumsum(local_layer)])
-        remote_suffix = np.concatenate(
-            [np.cumsum(remote_layer[::-1])[::-1], [0.0]]
-        )
-
-        cpu = device.soc.cpu
-        busy_mw = cpu.busy_power_at(-1)
+        busy_mw = device.soc.cpu.busy_power_at(-1)
         base_mw = device.soc.platform_idle_mw
         tx_mw = link.tx_power_mw(rssi_dbm)
 
-        best_point, best_energy_mj, best_latency_ms = None, None, None
-        num_layers = len(network.layers)
-        for point in range(num_layers + 1):
-            wire = network.transfer_bytes_at(point)
-            tx_ms = wire * ms_per_byte
-            remote_ms = remote_suffix[point]
-            comm_ms = (tx_ms + rtt) if point < num_layers else 0.0
-            latency_ms = local_prefix[point] + comm_ms + remote_ms
-            energy_mj = (
-                busy_mw * local_prefix[point]
-                + tx_mw * tx_ms
-                + base_mw * latency_ms
-            ) / 1000.0
-            if point < num_layers:
-                energy_mj += link.tail_energy_mj()
-            feasible = latency_ms <= use_case.qos_ms
-            rank = (not feasible, energy_mj)
-            if best_point is None or rank < (not (best_latency_ms
-                                                  <= use_case.qos_ms),
-                                             best_energy_mj):
-                best_point, best_energy_mj, best_latency_ms = \
-                    point, energy_mj, latency_ms
-        return best_point
+        tx_ms = wire_bytes * ms_per_byte
+        comm_ms = tx_ms + rtt
+        comm_ms[num_layers] = 0.0  # all-local: nothing crosses the link
+        latency_ms = local_prefix + comm_ms + remote_suffix
+        energy_mj = (busy_mw * local_prefix + tx_mw * tx_ms
+                     + base_mw * latency_ms) / 1000.0
+        energy_mj[:num_layers] += link.tail_energy_mj()
+        feasible = latency_ms <= use_case.qos_ms
+        if feasible.any():
+            points = np.flatnonzero(feasible)
+            return int(points[np.argmin(energy_mj[points])])
+        return int(np.argmin(energy_mj))
 
     def select(self, environment, use_case, observation):
         """Returns the split plan (point, local target, remote target)."""

@@ -15,8 +15,9 @@ see ``repro.analysis`` and ``docs/static_analysis.md``):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "UnknownKeyError",
     "Stopwatch",
     "make_rng",
+    "NormalBlock",
     "mj_to_joules",
     "ms_to_seconds",
     "mbits_to_bytes",
@@ -76,6 +78,65 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+class NormalBlock:
+    """A Generator's standard normals drawn ahead in blocks, read in order.
+
+    Stands in for the Generator wherever a model samples through
+    ``rng.normal(loc, scale)``: :meth:`normal` returns
+    ``loc + scale * z`` for the next value ``z``, the arithmetic
+    ``Generator.normal`` applies to its own standard-normal draw, and
+    :attr:`standard_normal` hands out the next value itself.  A Generator
+    fills an array element by element from the same stream its scalar
+    draws read, so reading ``k`` values here yields exactly the ``k``
+    values ``k`` scalar draws would.
+
+    The block draws ahead of what is read.  :meth:`sync` puts the
+    Generator where ``k`` scalar draws would have left it: it restores
+    the bit-generator state saved at construction and redraws the ``k``
+    values read (a standard normal may consume more than one raw output,
+    so the state cannot be advanced by a count).  Nothing else may draw
+    from the Generator between construction and :meth:`sync`.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._start_state = rng.bit_generator.state
+        self._values: list = []
+        self._read_before = 0
+        self._reader = iter(self._values)
+        #: The next standard normal (raises ``StopIteration`` past the
+        #: end of the block; :meth:`extend` first).
+        self.standard_normal = self._reader.__next__
+
+    def extend(self, count: int) -> Callable[[], float]:
+        """Draw ``count`` more values; returns the new reader."""
+        unread = list(self._reader)
+        self._read_before += len(self._values) - len(unread)
+        self._values = unread + self._rng.standard_normal(count).tolist()
+        self._reader = iter(self._values)
+        self.standard_normal = self._reader.__next__
+        return self.standard_normal
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0) -> float:
+        """``Generator.normal(loc, scale)`` from the next value."""
+        if scale < 0:
+            raise ConfigError(f"normal scale must be >= 0, got {scale}")
+        return loc + scale * self.standard_normal()
+
+    @property
+    def read_count(self) -> int:
+        """Values handed out so far."""
+        return (self._read_before + len(self._values)
+                - operator.length_hint(self._reader))
+
+    def sync(self) -> None:
+        """Leave the Generator as ``read_count`` scalar draws would."""
+        read = self.read_count
+        self._rng.bit_generator.state = self._start_state
+        if read:
+            self._rng.standard_normal(read)
 
 
 def mj_to_joules(energy_mj: float) -> float:

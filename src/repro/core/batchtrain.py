@@ -11,18 +11,25 @@ tens of thousands of times.
 inlined: nominal components come from the environment's exact
 value-keyed caches (the ones
 :meth:`~repro.env.environment.EdgeCloudEnvironment.execute` reads),
-measurement jitters are drawn through the documented per-request
-draw-order contract (see ``EdgeCloudEnvironment.execute_batch``), and
 static Table-IV scenarios (constant co-runner, constant signals) skip
 the per-step observation re-sampling entirely — legal because a static
 scenario draws nothing from the RNG and returns the same values every
-time.
+time — and every environment draw of an episode (measurement jitters in
+the documented per-request order, see
+``EdgeCloudEnvironment.execute_batch``, and the co-runner and signal
+noise of dynamic scenarios) is read from one
+:class:`~repro.common.NormalBlock` drawn ahead of the episode.
+Observations come from that block through
+:func:`~repro.env.observation.sample_observation`, the scenario code
+``EdgeCloudEnvironment.observe`` runs on the Generator itself.
 
 **Parity contract.**  For the same seeds, a :class:`BatchTrainer` episode
 is *bit-identical* to the scalar engine loop it replaces: the same
 engine-RNG draws in the same order (one uniform per step, one integer
 draw only when exploring), the same environment-RNG draws (observation
-sampling only in dynamic scenarios, jitters in scalar order), the same
+sampling only in dynamic scenarios, jitters in scalar order; the block
+re-syncs the Generator to exactly the values read on every exit, early
+stops and exceptions included), the same
 float arithmetic for results, rewards, and Q-updates.  Q-table values,
 visit counts, convergence bookkeeping, history records, and the virtual
 clock all end up bitwise equal.  ``tests/core/test_batchtrain.py`` pins
@@ -42,14 +49,20 @@ import time
 import numpy as np
 
 from repro.analysis.contracts import contracts_enabled
-from repro.common import ConfigError
+from repro.common import ConfigError, NormalBlock
 from repro.core.engine import AutoScaleStep
 from repro.core.reward import compute_reward
+from repro.env.observation import sample_observation
 from repro.env.result import ExecutionResult
 from repro.env.target import Location
 from repro.hardware.processor import ProcessorKind
 
 __all__ = ["BatchTrainer"]
+
+#: Steps one :class:`NormalBlock` refill covers at the per-step worst
+#: case; bounds the block's size on long episodes and the values drawn
+#: ahead of an early stop.
+_BLOCK_STEPS = 256
 
 
 class BatchTrainer:
@@ -335,12 +348,16 @@ class BatchTrainer:
 
         Runtime contracts (``REPRO_CONTRACTS``/pytest) are snapshotted
         once per episode: with contracts *on*, every step goes through
-        the fully-instrumented ``execute``/``QTable.update`` call
-        chain so each contract still fires; with contracts *off* (the
-        production configuration the Section VI-C overhead numbers are
-        about), local executions and Q-updates run through inlined
+        the fully-instrumented ``observe``/``execute``/``QTable.update``
+        call chain so each contract still fires; with contracts *off*
+        (the production configuration the Section VI-C overhead numbers
+        are about), the env-stream draws come from a
+        :class:`~repro.common.NormalBlock` sized for the per-step worst
+        case, and local executions and Q-updates run through inlined
         replicas of the same float expressions.  Both produce
-        bit-identical values.
+        bit-identical values.  A scenario whose models do not declare
+        ``draws_per_sample`` cannot size the block and takes the
+        instrumented chain.
         """
         engine = self.engine
         env = engine.environment
@@ -371,15 +388,17 @@ class BatchTrainer:
         history_append = engine.history.append
         engine_random = engine.rng.random
         engine_integers = engine.rng.integers
-        env_std_normal = env.rng.standard_normal
         observe = env.observe
+        scenario = env.scenario
         encode = engine.state_space.encode
-        clock_advance = env.clock.advance
+        clock = env.clock
+        clock_advance = clock.advance
         think_time_ms = env.think_time_ms
         exp = math.exp
         perf_counter = time.perf_counter
 
-        faithful = contracts_enabled()
+        observation_draws = getattr(scenario, "draws_per_sample", None)
+        faithful = contracts_enabled() or observation_draws is None
         execute = env.execute
         noise = env.noise
         accuracy_by_action = self._accuracy_rows.get(network.name)
@@ -403,7 +422,7 @@ class BatchTrainer:
                           noise.power_sigma)
         )
         slots_by_action = [remote_slots if target.is_remote else local_slots
-                          for target in targets]
+                           for target in targets]
         completers = self._completers
 
         static = self._static_scenario()
@@ -411,94 +430,124 @@ class BatchTrainer:
             observation = observe()
             state = encode(network, observation)
 
-        steps = []
-        for _ in range(num_inferences):
+        block = None
+        next_refill = -1
+        if not faithful:
+            # Worst case per step: a remote action's jitters plus, in a
+            # dynamic scenario, two observation samples.
+            step_draws = max(
+                sum(sigma is not None for sigma in slots)
+                for slots in (local_slots, remote_slots))
             if not static:
-                observation = observe()
-                state = encode(network, observation)
-            started = perf_counter()
-            if engine_random() < epsilon:
-                action = int(engine_integers(n_actions))
-                explored = True
-            else:
-                # np.argmax dispatches here anyway; call it directly.
-                action = int(values[state].argmax())
-                explored = False
-            select_append((perf_counter() - started) * 1e6)
-            target = targets[action]
+                step_draws += 2 * observation_draws
+            refill_steps = min(num_inferences, _BLOCK_STEPS)
+            block = NormalBlock(env.rng)
+            next_refill = 0
 
-            if faithful:
-                result = execute(network, target, observation)
-            else:
-                completer = completers.get(action)
-                if completer is None:
-                    completer = (self._remote_completer(target)
-                                 if target.is_remote
-                                 else self._local_completer(target))
-                    completers[action] = completer
-                # sigma * standard_normal() is bit-identical to
-                # normal(0.0, sigma) (same ziggurat draw, same C
-                # double scaling) and skips the loc/scale parsing.
-                jitters = [
-                    exp(sigma * env_std_normal())
-                    if sigma is not None else 1.0
-                    for sigma in slots_by_action[action]
-                ]
-                result = completer(network, observation,
-                                   accuracy_by_action[action], jitters)
-                clock_advance(result.latency_ms + think_time_ms)
-
-            started = perf_counter()
-            if faithful:
-                reward = compute_reward(result, use_case, reward_config)
-            else:
-                # Equation (5) (``compute_reward``) inline, normalized
-                # branch, non-failed results only — the fast path never
-                # sees injected faults.  Same expressions, same order.
-                accuracy = result.accuracy_pct
-                if accuracy_target is not None \
-                        and accuracy < accuracy_target:
-                    reward = (-50.0 + (accuracy - 100.0) / 100.0
-                              if normalize else accuracy - 100.0)
+        steps = []
+        try:
+            for index in range(num_inferences):
+                if index == next_refill:
+                    assert block is not None  # only the block path refills
+                    take = block.extend(refill_steps * step_draws)
+                    next_refill += refill_steps
+                if not static:
+                    observation = (
+                        observe() if faithful
+                        else sample_observation(scenario, block,
+                                                clock.now_ms))
+                    state = encode(network, observation)
+                started = perf_counter()
+                if engine_random() < epsilon:
+                    action = int(engine_integers(n_actions))
+                    explored = True
                 else:
-                    latency_ms = result.latency_ms
-                    if normalize:
-                        cost_term = (result.estimated_energy_mj
-                                     / energy_ref_mj)
-                        time_term = latency_ms / energy_ref_mj
+                    # np.argmax dispatches here anyway; call it directly.
+                    action = int(values[state].argmax())
+                    explored = False
+                select_append((perf_counter() - started) * 1e6)
+                target = targets[action]
+
+                if faithful:
+                    result = execute(network, target, observation)
+                else:
+                    completer = completers.get(action)
+                    if completer is None:
+                        completer = (self._remote_completer(target)
+                                     if target.is_remote
+                                     else self._local_completer(target))
+                        completers[action] = completer
+                    # sigma * z is bit-identical to normal(0.0, sigma)
+                    # up to the sign of a zero, which exp erases.
+                    jitters = [
+                        exp(sigma * take()) if sigma is not None else 1.0
+                        for sigma in slots_by_action[action]
+                    ]
+                    result = completer(network, observation,
+                                       accuracy_by_action[action], jitters)
+                    clock_advance(result.latency_ms + think_time_ms)
+
+                started = perf_counter()
+                if faithful:
+                    reward = compute_reward(result, use_case, reward_config)
+                else:
+                    # Equation (5) (``compute_reward``) inline, normalized
+                    # branch, non-failed results only — the fast path
+                    # never sees injected faults.  Same expressions, same
+                    # order.
+                    accuracy = result.accuracy_pct
+                    if accuracy_target is not None \
+                            and accuracy < accuracy_target:
+                        reward = (-50.0 + (accuracy - 100.0) / 100.0
+                                  if normalize else accuracy - 100.0)
                     else:
-                        cost_term = result.estimated_energy_mj / 1000.0
-                        time_term = latency_ms / 1000.0
-                    reward = -cost_term + beta * (accuracy / 100.0)
-                    if latency_ms <= qos_ms:
-                        reward += alpha * time_term
-            if static:
-                # The scalar loop re-observes here; a static scenario
-                # returns the same values without drawing, so reuse.
-                next_state = state
-            else:
-                next_state = encode(network, observe())
-            if faithful:
-                q_delta = qtable.update(state, action, reward, next_state)
-            else:
-                # QTable.update's expression chain, verbatim (np.max
-                # dispatches to ndarray.max; same bits, less overhead).
-                target_q = reward + mu * float(values[next_state].max())
-                delta = gamma * (target_q - values[state, action])
-                values[state, action] += delta
-                visits[state, action] += 1
-                qtable.update_count += 1
-                q_delta = float(delta)
-            if not explored:
-                converge_observe(reward, executed_action=action)
-            update_append((perf_counter() - started) * 1e6)
-            record = AutoScaleStep(
-                state=state, action=action, target_key=target_keys[action],
-                reward=reward, result=result, explored=explored,
-                q_delta=q_delta,
-            )
-            history_append(record)
-            steps.append(record)
-            if stop_on_convergence and convergence.converged:
-                break
+                        latency_ms = result.latency_ms
+                        if normalize:
+                            cost_term = (result.estimated_energy_mj
+                                         / energy_ref_mj)
+                            time_term = latency_ms / energy_ref_mj
+                        else:
+                            cost_term = result.estimated_energy_mj / 1000.0
+                            time_term = latency_ms / 1000.0
+                        reward = -cost_term + beta * (accuracy / 100.0)
+                        if latency_ms <= qos_ms:
+                            reward += alpha * time_term
+                if static:
+                    # The scalar loop re-observes here; a static scenario
+                    # returns the same values without drawing, so reuse.
+                    next_state = state
+                elif faithful:
+                    next_state = encode(network, observe())
+                else:
+                    next_state = encode(
+                        network,
+                        sample_observation(scenario, block, clock.now_ms))
+                if faithful:
+                    q_delta = qtable.update(state, action, reward,
+                                            next_state)
+                else:
+                    # QTable.update's expression chain, verbatim (the
+                    # row max read as row[argmax], see best_value).
+                    row = values[next_state]
+                    target_q = reward + mu * float(row[row.argmax()])
+                    delta = gamma * (target_q - values[state, action])
+                    values[state, action] += delta
+                    visits[state, action] += 1
+                    qtable.update_count += 1
+                    q_delta = float(delta)
+                if not explored:
+                    converge_observe(reward, executed_action=action)
+                update_append((perf_counter() - started) * 1e6)
+                record = AutoScaleStep(
+                    state=state, action=action,
+                    target_key=target_keys[action], reward=reward,
+                    result=result, explored=explored, q_delta=q_delta,
+                )
+                history_append(record)
+                steps.append(record)
+                if stop_on_convergence and convergence.converged:
+                    break
+        finally:
+            if block is not None:
+                block.sync()
         return steps

@@ -167,8 +167,16 @@ class QTable:
         return int(np.argmax(values))
 
     def best_value(self, state):
-        """max_a Q(state, a)."""
-        return float(self.values[state].max())
+        """max_a Q(state, a).
+
+        Read as ``row[row.argmax()]``: the value ``row.max()`` returns
+        (NaN included) without the Python-level dispatch ``ndarray.max``
+        pays.  Only a zero maximum held with both signs could come back
+        as the other zero; Q-values start random and updates never
+        produce ``-0.0``.
+        """
+        row = self.values[state]
+        return float(row[row.argmax()])
 
     def value(self, state, action):
         return float(self.values[state, action])

@@ -36,7 +36,7 @@ from repro.env.executor import _contention_power_factor
 from repro.env.result import ExecutionResult
 from repro.env.target import Location
 from repro.hardware.processor import ProcessorKind
-from repro.interference.corunner import CoRunnerLoad
+from repro.interference.corunner import ConstantCoRunner, CoRunnerLoad
 
 __all__ = ["CacheStats", "NominalSweep", "NominalCostEngine"]
 
@@ -393,6 +393,38 @@ class NominalCostEngine:
             self._layer_terms[key] = terms
         return terms
 
+    def local_slice_ms(self, network, target, slowdown, start, stop):
+        """Nominal latency of ``network.layers[start:stop]`` on a local
+        target at ``slowdown``.
+
+        Bit-identical to ``Processor.layers_latency_ms`` over that slice
+        (see :meth:`_terms_for`), including its rejection of a slowdown
+        below 1.
+        """
+        if slowdown < 1.0:
+            raise ConfigError(f"slowdown must be >= 1, got {slowdown}")
+        proc = self._environment.device.soc.processor(target.role)
+        terms = self._terms_for("local", proc, network, target.precision)
+        return sum(
+            (terms[start:stop, target.vf_index] * slowdown
+             + proc.dispatch_ms).tolist()
+        )
+
+    def remote_slice_ms(self, network, target, start, stop):
+        """Nominal latency of ``network.layers[start:stop]`` on a remote
+        target's processor: its last V/F step, no slowdown, as the
+        scalar remote paths evaluate it."""
+        env = self._environment
+        is_cloud = target.location is Location.CLOUD
+        remote = env.cloud if is_cloud else env.connected
+        remote_proc = remote.soc.processor(target.role)
+        terms = self._terms_for("cloud" if is_cloud else "edge",
+                                remote_proc, network, target.precision)
+        # slowdown 1.0 is an exact no-op, kept to mirror the walk.
+        return sum(
+            (terms[start:stop, -1] * 1.0 + remote_proc.dispatch_ms).tolist()
+        )
+
     def local_nominal(self, network, target, observation):
         """``(proc, nominal_ms, slowdown)`` for one local target.
 
@@ -400,6 +432,11 @@ class NominalCostEngine:
         computes inline; keyed on the exact co-runner load.  Raises
         :class:`ConfigError` for a slowdown below 1, as the layer walk
         (``Processor.layer_latency_ms``) does.
+
+        Misses are only stored while the scenario's co-runner is a
+        :class:`~repro.interference.corunner.ConstantCoRunner`: a
+        jittered trace load never repeats, so caching it would only fill
+        the LRU with entries nobody reads.
         """
         key = (network.name, target.key,
                observation.cpu_util, observation.mem_util)
@@ -414,17 +451,13 @@ class NominalCostEngine:
         load = CoRunnerLoad(cpu_util=observation.cpu_util,
                             mem_util=observation.mem_util)
         slowdown = env.interference.slowdown(proc.kind, load)
-        if slowdown < 1.0:
-            raise ConfigError(f"slowdown must be >= 1, got {slowdown}")
-        terms = self._terms_for("local", proc, network, target.precision)
-        nominal_ms = sum(
-            (terms[:, target.vf_index] * slowdown
-             + proc.dispatch_ms).tolist()
-        )
+        nominal_ms = self.local_slice_ms(network, target, slowdown, 0,
+                                         len(network.layers))
         entry = (proc, nominal_ms, slowdown)
-        self._exact_local[key] = entry
-        if len(self._exact_local) > _EXACT_CACHE_SIZE:
-            self._exact_local.popitem(last=False)
+        if isinstance(env.scenario.corunner, ConstantCoRunner):
+            self._exact_local[key] = entry
+            if len(self._exact_local) > _EXACT_CACHE_SIZE:
+                self._exact_local.popitem(last=False)
         return entry
 
     def remote_nominal_ms(self, network, target):
@@ -435,17 +468,8 @@ class NominalCostEngine:
             self.exact_hits += 1
             return nominal_ms
         self.exact_misses += 1
-        env = self._environment
-        remote = env.cloud if target.location is Location.CLOUD \
-            else env.connected
-        host_tag = "cloud" if target.location is Location.CLOUD else "edge"
-        remote_proc = remote.soc.processor(target.role)
-        terms = self._terms_for(host_tag, remote_proc, network,
-                                target.precision)
-        # Scalar default: last V/F step, slowdown 1.0 (an exact no-op).
-        nominal_ms = sum(
-            (terms[:, -1] * 1.0 + remote_proc.dispatch_ms).tolist()
-        )
+        nominal_ms = self.remote_slice_ms(network, target, 0,
+                                          len(network.layers))
         self._exact_remote[key] = nominal_ms
         return nominal_ms
 

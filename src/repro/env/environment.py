@@ -29,13 +29,16 @@ from repro.env.costcache import NominalCostEngine
 from repro.env.injection import resolve_injector
 from repro.env.executor import (
     NoiseConfig,
+    check_segments,
     finish_local_execution,
+    finish_partitioned_execution,
+    finish_pipelined_execution,
     finish_remote_execution,
     jitter_plan,
-    partitioned_execution,
-    pipelined_local_execution,
+    pipeline_jitter_sigmas,
+    split_jitter_sigmas,
 )
-from repro.env.observation import Observation
+from repro.env.observation import sample_observation
 from repro.env.scenarios import build_scenario
 from repro.env.target import ExecutionTarget, Location, enumerate_targets
 from repro.hardware.devices import cloud_server, galaxy_tab_s6
@@ -213,16 +216,8 @@ class EdgeCloudEnvironment:
 
     def observe(self):
         """Sample the runtime variance at the current virtual time."""
-        load, rssi_wlan_dbm, rssi_p2p_dbm = self.scenario.sample(
-            self.rng, self.clock.now_ms
-        )
-        return Observation(
-            cpu_util=load.cpu_util,
-            mem_util=load.mem_util,
-            rssi_wlan_dbm=rssi_wlan_dbm,
-            rssi_p2p_dbm=rssi_p2p_dbm,
-            now_ms=self.clock.now_ms,
-        )
+        return sample_observation(self.scenario, self.rng,
+                                  self.clock.now_ms)
 
     def reset(self, seed=None):
         """Rewind the virtual clock (and optionally reseed).
@@ -318,14 +313,8 @@ class EdgeCloudEnvironment:
         """
         if observation is None:
             observation = self.observe()
-        _, local_plan, remote_plan = self._jitter_plans()
-        positive_sigmas, draw_flags = (remote_plan if target.is_remote
-                                       else local_plan)
-        draws = (positive_sigmas
-                 * self.rng.standard_normal(positive_sigmas.size)
-                 if positive_sigmas.size else ())
-        jitters, _ = _spread_draws(draws, 0, draw_flags)
-        result = self._finish_cached(network, target, observation, jitters)
+        result = self._finish_cached(network, target, observation,
+                                     self._target_jitters(target))
         injector = self._fault_injector
         if target.is_remote and (injector.active or deadline_ms is not None):
             if deadline_ms is not None and injector.plan is None:
@@ -350,6 +339,17 @@ class EdgeCloudEnvironment:
     def execute_cached(self, network, target, observation):
         """:meth:`execute` with a required observation and no deadline."""
         return self.execute(network, target, observation)
+
+    def _target_jitters(self, target):
+        """One whole-model request's jitters, drawn in the scalar order."""
+        _, local_plan, remote_plan = self._jitter_plans()
+        positive_sigmas, draw_flags = (remote_plan if target.is_remote
+                                       else local_plan)
+        draws = (positive_sigmas
+                 * self.rng.standard_normal(positive_sigmas.size)
+                 if positive_sigmas.size else ())
+        jitters, _ = _spread_draws(draws, 0, draw_flags)
+        return jitters
 
     def _jitter_plans(self):
         """Per-location jitter plans for the current noise config.
@@ -485,20 +485,74 @@ class EdgeCloudEnvironment:
     # ------------------------------------------------------------------
     # Layer-granularity execution (baseline schedulers)
     # ------------------------------------------------------------------
+    #
+    # Head, tail and segment nominals are slices of the cost engine's
+    # layer-term tables, finished by the executor's shared arithmetic;
+    # ``partitioned_execution`` / ``pipelined_local_execution`` walk the
+    # layers instead and stay as the ``==`` oracle
+    # (``tests/env/test_layer_walk_oracle.py``).
+
+    def _draw_jitters(self, sigmas, deterministic):
+        """One multiplicative jitter per slot of ``sigmas``, in order.
+
+        A positive sigma takes ``exp`` of its draw from one
+        ``sigmas * rng.standard_normal(n)`` call (see
+        :meth:`_jitter_plans`); a zero sigma, or a deterministic run,
+        gives 1.0.
+        """
+        if deterministic:
+            return (1.0,) * len(sigmas)
+        positive_sigmas = [sigma for sigma in sigmas if sigma > 0.0]
+        draws = (np.asarray(positive_sigmas)
+                 * self.rng.standard_normal(len(positive_sigmas))
+                 if positive_sigmas else ())
+        jitters, _ = _spread_draws(draws, 0,
+                                   [sigma > 0.0 for sigma in sigmas])
+        return jitters
 
     def execute_split(self, network, split_point, local_target,
                       remote_target, observation=None, deterministic=False):
-        """NeuroSurgeon-style split execution (head local, tail remote)."""
+        """NeuroSurgeon-style split execution (head local, tail remote).
+
+        A split at the last layer runs the whole model on
+        ``local_target``, a split at 0 offloads it to ``remote_target``;
+        neither passes through the fault injector.
+        """
         if observation is None:
             observation = self.observe()
-        rng = None if deterministic else self.rng
-        remote, link = self._remote_setup(remote_target)
-        result = partitioned_execution(
-            self.device, remote, network, split_point, local_target,
-            remote_target, link, self._rssi_for(remote_target, observation),
-            self._load_from(observation), self.interference, self.accuracy,
-            rng=rng, noise=self.noise,
-        )
+        _, link = self._remote_setup(remote_target)
+        num_layers = len(network.layers)
+        if not 0 <= split_point <= num_layers:
+            raise ConfigError(
+                f"split point {split_point} outside [0, {num_layers}]"
+            )
+        if split_point in (0, num_layers):
+            target = remote_target if split_point == 0 else local_target
+            if target.is_remote != (split_point == 0):
+                raise ConfigError(
+                    f"{target} cannot run a split at {split_point}")
+            jitters = (_UNIT_JITTERS if deterministic
+                       else self._target_jitters(target))
+            result = self._finish_cached(network, target, observation,
+                                         jitters)
+        else:
+            load = self._load_from(observation)
+            proc = self.device.soc.processor(local_target.role)
+            slowdown = self.interference.slowdown(proc.kind, load)
+            engine = self._cost_engine
+            local_nominal_ms = engine.local_slice_ms(
+                network, local_target, slowdown, 0, split_point)
+            remote_nominal_ms = engine.remote_slice_ms(
+                network, remote_target, split_point, num_layers)
+            jitters = self._draw_jitters(split_jitter_sigmas(self.noise),
+                                         deterministic)
+            result = finish_partitioned_execution(
+                self.device, network, split_point, local_target,
+                remote_target, link,
+                self._rssi_for(remote_target, observation), load,
+                self.accuracy, proc, local_nominal_ms, remote_nominal_ms,
+                self.interference.transmission_slowdown(load), jitters,
+            )
         if not deterministic:
             self.kernel.advance_by(result.latency_ms + self.think_time_ms)
         return result
@@ -508,10 +562,25 @@ class EdgeCloudEnvironment:
         """MOSAIC-style sliced execution across local processors."""
         if observation is None:
             observation = self.observe()
-        rng = None if deterministic else self.rng
-        result = pipelined_local_execution(
-            self.device, network, segments, self._load_from(observation),
-            self.interference, self.accuracy, rng=rng, noise=self.noise,
+        check_segments(network, segments)
+        load = self._load_from(observation)
+        engine = self._cost_engine
+        procs = []
+        nominal_ms = []
+        cursor = 0
+        for count, target in segments:
+            proc = self.device.soc.processor(target.role)
+            slowdown = self.interference.slowdown(proc.kind, load)
+            nominal_ms.append(engine.local_slice_ms(
+                network, target, slowdown, cursor, cursor + count))
+            procs.append(proc)
+            cursor += count
+        jitters = self._draw_jitters(
+            pipeline_jitter_sigmas(self.noise, len(segments)),
+            deterministic)
+        result = finish_pipelined_execution(
+            self.device, network, segments, procs, nominal_ms, load,
+            self.accuracy, jitters,
         )
         if not deterministic:
             self.kernel.advance_by(result.latency_ms + self.think_time_ms)

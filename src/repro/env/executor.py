@@ -44,6 +44,11 @@ __all__ = [
     "finish_remote_execution",
     "local_execution",
     "remote_execution",
+    "split_jitter_sigmas",
+    "pipeline_jitter_sigmas",
+    "check_segments",
+    "finish_partitioned_execution",
+    "finish_pipelined_execution",
     "partitioned_execution",
     "pipelined_local_execution",
 ]
@@ -266,47 +271,46 @@ def remote_execution(device, remote, network, target, link, rssi_dbm,
     )
 
 
-def partitioned_execution(device, remote, network, split_point,
-                          local_target, remote_target, link, rssi_dbm,
-                          load, interference, accuracy_table,
-                          rng=None, noise=NoiseConfig()):
-    """Layer-granularity split: head runs locally, tail remotely.
+def split_jitter_sigmas(noise):
+    """Jitter sigmas of a mid-network split, in draw order.
 
-    This is the execution model of the NeuroSurgeon baseline.  The wire
-    payload is the output activation of the last local layer (or the
-    compressed input for ``split_point == 0``); a split at the final layer
-    degenerates to pure local execution.
+    ``(latency, server, tx, rx, rtt, power)``: the local head's latency,
+    the remote tail's compute, the three network legs, and the power
+    measurement.  A zero sigma draws nothing (see :func:`_jitter`).
     """
-    head, tail = network.split(split_point)
-    if not tail:
-        return local_execution(device, network, local_target, load,
-                               interference, accuracy_table, rng, noise)
-    if not head:
-        return remote_execution(device, remote, network, remote_target,
-                                link, rssi_dbm, accuracy_table, rng, noise,
-                                load=load, interference=interference)
+    return (noise.latency_sigma, noise.server_sigma, noise.network_sigma,
+            noise.network_sigma, noise.network_sigma, noise.power_sigma)
 
-    proc = device.soc.processor(local_target.role)
-    slowdown = interference.slowdown(proc.kind, load)
-    tx_slow = interference.transmission_slowdown(load)
-    local_ms = (
-        proc.layers_latency_ms(head, local_target.precision,
-                               local_target.vf_index, slowdown)
-        * _jitter(rng, noise.latency_sigma)
-    )
-    remote_proc = remote.soc.processor(remote_target.role)
-    remote_ms = (
-        remote_proc.layers_latency_ms(tail, remote_target.precision)
-        * _jitter(rng, noise.server_sigma)
-    )
+
+def pipeline_jitter_sigmas(noise, num_segments):
+    """Jitter sigmas of a sliced local run: one latency draw per segment,
+    then the power measurement."""
+    return (noise.latency_sigma,) * num_segments + (noise.power_sigma,)
+
+
+def finish_partitioned_execution(device, network, split_point, local_target,
+                                 remote_target, link, rssi_dbm, load,
+                                 accuracy_table, proc, local_nominal_ms,
+                                 remote_nominal_ms, tx_slow, jitters):
+    """Complete a mid-network split from its nominal components + jitters.
+
+    The single arithmetic shared by :func:`partitioned_execution` (which
+    walks the head and tail layers for the two nominals) and
+    :meth:`EdgeCloudEnvironment.execute_split` (which reads them from the
+    cost engine's layer-term tables), so the two are bit-identical by
+    construction.  ``proc`` is the local processor running the head;
+    ``jitters`` follows :func:`split_jitter_sigmas`.
+    """
+    (lat_jitter, server_jitter, tx_jitter, rx_jitter, rtt_jitter,
+     pwr_jitter) = jitters
+    local_ms = local_nominal_ms * lat_jitter
+    remote_ms = remote_nominal_ms * server_jitter
     wire_bytes = (network.transfer_bytes_at(split_point)
                   * local_target.precision.size_ratio)
-    tx_ms = (link.transfer_ms(wire_bytes, rssi_dbm) * tx_slow
-             * _jitter(rng, noise.network_sigma))
+    tx_ms = link.transfer_ms(wire_bytes, rssi_dbm) * tx_slow * tx_jitter
     rx_ms = (link.transfer_ms(network.output_bytes, rssi_dbm) * tx_slow
-             * _jitter(rng, noise.network_sigma))
-    rtt_ms = (link.effective_rtt_ms(rssi_dbm)
-              * _jitter(rng, noise.network_sigma))
+             * rx_jitter)
+    rtt_ms = link.effective_rtt_ms(rssi_dbm) * rtt_jitter
     latency_ms = local_ms + tx_ms + rtt_ms + remote_ms + rx_ms
 
     busy_mj = _processor_energy(proc, local_ms, local_target.vf_index)
@@ -318,7 +322,7 @@ def partitioned_execution(device, remote, network, split_point,
     estimate_mj = busy_mj + radio.radio_energy_mj + overhead_mj
     truth_mj = (
         (busy_mj * _contention_power_factor(load)
-         + radio.radio_energy_mj) * _jitter(rng, noise.power_sigma)
+         + radio.radio_energy_mj) * pwr_jitter
         + overhead_mj
     )
     accuracy = min(
@@ -342,6 +346,42 @@ def partitioned_execution(device, remote, network, split_point,
     )
 
 
+def partitioned_execution(device, remote, network, split_point,
+                          local_target, remote_target, link, rssi_dbm,
+                          load, interference, accuracy_table,
+                          rng=None, noise=NoiseConfig()):
+    """Layer-granularity split: head runs locally, tail remotely.
+
+    This is the execution model of the NeuroSurgeon baseline.  The wire
+    payload is the output activation of the last local layer (or the
+    compressed input for ``split_point == 0``); a split at the final layer
+    degenerates to pure local execution.
+    """
+    head, tail = network.split(split_point)
+    if not tail:
+        return local_execution(device, network, local_target, load,
+                               interference, accuracy_table, rng, noise)
+    if not head:
+        return remote_execution(device, remote, network, remote_target,
+                                link, rssi_dbm, accuracy_table, rng, noise,
+                                load=load, interference=interference)
+
+    proc = device.soc.processor(local_target.role)
+    slowdown = interference.slowdown(proc.kind, load)
+    tx_slow = interference.transmission_slowdown(load)
+    local_nominal_ms = proc.layers_latency_ms(
+        head, local_target.precision, local_target.vf_index, slowdown)
+    remote_proc = remote.soc.processor(remote_target.role)
+    remote_nominal_ms = remote_proc.layers_latency_ms(
+        tail, remote_target.precision)
+    jitters = [_jitter(rng, sigma) for sigma in split_jitter_sigmas(noise)]
+    return finish_partitioned_execution(
+        device, network, split_point, local_target, remote_target, link,
+        rssi_dbm, load, accuracy_table, proc, local_nominal_ms,
+        remote_nominal_ms, tx_slow, jitters,
+    )
+
+
 #: Fixed cost of handing a partially computed activation from one local
 #: processor to another (driver synchronization, cache flush, and tensor
 #: format conversion — e.g. NCHW to GPU textures), plus a DRAM copy at
@@ -352,18 +392,12 @@ _HOP_OVERHEAD_MS = 2.5
 _DRAM_COPY_GBPS = 4.0
 
 
-def pipelined_local_execution(device, network, segments, load,
-                              interference, accuracy_table,
-                              rng=None, noise=NoiseConfig()):
-    """Contiguous layer segments on different *local* processors.
+def check_segments(network, segments):
+    """Reject a slicing plan that is not a cover of local segments.
 
-    This is the execution model of the MOSAIC baseline: a model is sliced
-    into contiguous groups, each mapped to one on-device processor, with a
-    hand-off cost between consecutive segments.
-
-    Args:
-        segments: list of ``(num_layers, ExecutionTarget)`` covering the
-            network's layer list in order; all targets must be LOCAL.
+    ``segments`` must be ``(num_layers, ExecutionTarget)`` pairs with
+    positive counts and LOCAL targets that cover the network's layer
+    list exactly.
     """
     total_layers = sum(count for count, _ in segments)
     if total_layers != len(network.layers):
@@ -371,33 +405,38 @@ def pipelined_local_execution(device, network, segments, load,
             f"segments cover {total_layers} layers, network has "
             f"{len(network.layers)}"
         )
-    latency_ms = 0.0
-    busy_mj = 0.0
-    precisions = []
-    segment_times = []
-    cursor = 0
-    previous_role = None
     for count, target in segments:
         if count <= 0:
             raise ConfigError("segment layer counts must be positive")
         if target.location is not Location.LOCAL:
             raise ConfigError(f"{target} is not local; MOSAIC slices "
                               "within the device")
-        layers = network.layers[cursor:cursor + count]
-        proc = device.soc.processor(target.role)
-        slowdown = interference.slowdown(proc.kind, load)
-        segment_ms = (
-            proc.layers_latency_ms(layers, target.precision,
-                                   target.vf_index, slowdown)
-            * _jitter(rng, noise.latency_sigma)
-        )
+
+
+def finish_pipelined_execution(device, network, segments, procs,
+                               nominal_ms, load, accuracy_table, jitters):
+    """Complete a sliced local run from per-segment nominals + jitters.
+
+    Shared bit-exact arithmetic for :func:`pipelined_local_execution`
+    and :meth:`EdgeCloudEnvironment.execute_pipelined` (see
+    :func:`finish_partitioned_execution`).  ``procs`` and ``nominal_ms``
+    are aligned with ``segments``; ``jitters`` follows
+    :func:`pipeline_jitter_sigmas`.
+    """
+    latency_ms = 0.0
+    busy_mj = 0.0
+    segment_times = []
+    cursor = 0
+    previous_role = None
+    for (count, target), proc, segment_nominal_ms, lat_jitter in zip(
+            segments, procs, nominal_ms, jitters):
+        segment_ms = segment_nominal_ms * lat_jitter
         if previous_role is not None and previous_role != target.role:
             handoff_bytes = network.layers[cursor - 1].output_bytes
             latency_ms += (_HOP_OVERHEAD_MS
                            + handoff_bytes / (_DRAM_COPY_GBPS * 1e6))
         latency_ms += segment_ms
         busy_mj += _processor_energy(proc, segment_ms, target.vf_index)
-        precisions.append(target.precision)
         segment_times.append(segment_ms)
         previous_role = target.role
         cursor += count
@@ -415,12 +454,12 @@ def pipelined_local_execution(device, network, segments, load,
     estimate_mj = busy_mj + overhead_mj
     truth_mj = (
         busy_mj * _contention_power_factor(load)
-        * _jitter(rng, noise.power_sigma)
+        * jitters[len(segments)]
         + overhead_mj
     )
     accuracy = min(
-        accuracy_table.lookup(network.name, precision)
-        for precision in precisions
+        accuracy_table.lookup(network.name, target.precision)
+        for _, target in segments
     )
     description = "+".join(
         f"{count}x{target.role}" for count, target in segments
@@ -433,3 +472,35 @@ def pipelined_local_execution(device, network, segments, load,
         target_key=f"mosaic[{description}]",
         detail={"busy_mj": busy_mj, "segments": float(len(segments))},
     )
+
+
+def pipelined_local_execution(device, network, segments, load,
+                              interference, accuracy_table,
+                              rng=None, noise=NoiseConfig()):
+    """Contiguous layer segments on different *local* processors.
+
+    This is the execution model of the MOSAIC baseline: a model is sliced
+    into contiguous groups, each mapped to one on-device processor, with a
+    hand-off cost between consecutive segments.
+
+    Args:
+        segments: list of ``(num_layers, ExecutionTarget)`` covering the
+            network's layer list in order; all targets must be LOCAL.
+    """
+    check_segments(network, segments)
+    procs = []
+    nominal_ms = []
+    cursor = 0
+    for count, target in segments:
+        proc = device.soc.processor(target.role)
+        slowdown = interference.slowdown(proc.kind, load)
+        nominal_ms.append(proc.layers_latency_ms(
+            network.layers[cursor:cursor + count], target.precision,
+            target.vf_index, slowdown))
+        procs.append(proc)
+        cursor += count
+    jitters = [_jitter(rng, sigma)
+               for sigma in pipeline_jitter_sigmas(noise, len(segments))]
+    return finish_pipelined_execution(device, network, segments, procs,
+                                      nominal_ms, load, accuracy_table,
+                                      jitters)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.common import ConfigError
 
-__all__ = ["Observation"]
+__all__ = ["Observation", "sample_observation"]
 
 
 @dataclass(frozen=True)
@@ -42,3 +42,20 @@ class Observation:
                             ("rssi_p2p_dbm", self.rssi_p2p_dbm)):
             if not -120.0 <= value <= -10.0:
                 raise ConfigError(f"implausible {name}: {value} dBm")
+
+
+def sample_observation(scenario, rng, now_ms):
+    """The readings a scenario produces at ``now_ms``.
+
+    ``rng`` is the environment's Generator or a
+    :class:`~repro.common.NormalBlock` drawn from it; the scenario's
+    models sample the same way from either.
+    """
+    load, rssi_wlan_dbm, rssi_p2p_dbm = scenario.sample(rng, now_ms)
+    return Observation(
+        cpu_util=load.cpu_util,
+        mem_util=load.mem_util,
+        rssi_wlan_dbm=rssi_wlan_dbm,
+        rssi_p2p_dbm=rssi_p2p_dbm,
+        now_ms=now_ms,
+    )

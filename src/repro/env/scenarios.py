@@ -60,6 +60,17 @@ class Scenario:
         if not self.name:
             raise ConfigError("scenario needs a name")
 
+    @property
+    def draws_per_sample(self):
+        """The most standard-normal draws one :meth:`sample` takes.
+
+        ``None`` when a component does not declare its count.
+        """
+        counts = [getattr(part, "draws_per_sample", None)
+                  for part in (self.corunner, self.wlan_signal,
+                               self.p2p_signal)]
+        return None if None in counts else sum(counts)
+
     def sample(self, rng, now_ms=0.0):
         """Draw (co-runner load, WLAN RSSI, P2P RSSI) at ``now_ms``."""
         load = self.corunner.sample(rng, now_ms)

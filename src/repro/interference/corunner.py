@@ -8,7 +8,10 @@ use synthetic constant-load co-runners (S2, S3) and two real applications —
 a music player and a web browser — driven by input traces (D1, D2, D4).
 
 A co-runner exposes ``sample(rng, now_ms) -> CoRunnerLoad`` so dynamic
-workloads can vary over virtual time.
+workloads can vary over virtual time, and ``draws_per_sample``: the most
+standard-normal draws one sample takes, all through
+``rng.normal(loc, scale)`` (a pre-drawn block can then stand in for the
+Generator, see :class:`repro.common.NormalBlock`).
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ class ConstantCoRunner:
     name: str
     load: CoRunnerLoad
 
+    draws_per_sample = 0
+
     def sample(self, rng, now_ms=0.0):
         return self.load
 
@@ -96,6 +101,10 @@ class TraceCoRunner:
     def period_ms(self):
         return self._period_ms
 
+    @property
+    def draws_per_sample(self):
+        return 2 if self.jitter else 0
+
     def _phase_at(self, now_ms):
         offset = now_ms % self._period_ms
         for duration, cpu, mem in self.phases:
@@ -127,6 +136,13 @@ class SwitchingCoRunner:
             raise ConfigError(f"{self.name}: needs at least two co-runners")
         if self.switch_every_ms <= 0:
             raise ConfigError(f"{self.name}: switch period must be positive")
+
+    @property
+    def draws_per_sample(self):
+        """The busiest co-runner's count (None if one does not say)."""
+        counts = [getattr(corunner, "draws_per_sample", None)
+                  for corunner in self.corunners]
+        return None if None in counts else max(counts)
 
     def sample(self, rng, now_ms=0.0):
         index = int(now_ms // self.switch_every_ms) % len(self.corunners)

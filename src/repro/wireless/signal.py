@@ -9,6 +9,10 @@ We provide three processes:
 - :class:`RandomWalkSignal` — a mean-reverting walk for long episodes
   where consecutive inferences should see correlated signal (used by the
   examples; an extension beyond the paper's setup).
+
+Each process exposes ``sample(rng, now_ms)`` and ``draws_per_sample``,
+the most standard-normal draws one sample takes (all through
+``rng.normal(loc, scale)``).
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ class ConstantSignal:
 
     rssi_dbm: float = STRONG_RSSI_DBM
 
+    draws_per_sample = 0
+
     def __post_init__(self):
         if not _RSSI_FLOOR_DBM <= self.rssi_dbm <= _RSSI_CEIL_DBM:
             raise ConfigError(f"implausible RSSI {self.rssi_dbm} dBm")
@@ -57,6 +63,8 @@ class GaussianSignal:
 
     mean_dbm: float = -72.0
     std_db: float = 9.0
+
+    draws_per_sample = 1
 
     def __post_init__(self):
         if self.std_db < 0:
@@ -81,6 +89,8 @@ class RandomWalkSignal:
     std_db: float = 10.0
     reversion: float = 0.05
     _state: float = field(default=None, repr=False)
+
+    draws_per_sample = 1
 
     def __post_init__(self):
         if not 0.0 < self.reversion <= 1.0:
@@ -129,6 +139,10 @@ class OutageSignal:
             raise ConfigError(
                 f"implausible outage RSSI {self.outage_rssi_dbm} dBm"
             )
+
+    @property
+    def draws_per_sample(self):
+        return getattr(self.base, "draws_per_sample", None)
 
     def in_outage(self, now_ms):
         """Whether ``now_ms`` falls inside a dead window."""

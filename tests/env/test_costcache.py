@@ -200,6 +200,31 @@ class TestCache:
         assert env.cost_engine.stats().hit_ratio == pytest.approx(2 / 3)
 
 
+class TestExactLocalCache:
+    @pytest.mark.parametrize("scenario, stores", (("S2", True),
+                                                  ("D3", True),
+                                                  ("D1", False),
+                                                  ("D4", False)))
+    def test_stores_only_constant_co_runner_loads(self, zoo, scenario,
+                                                  stores):
+        """Trace co-runners jitter every load, so their misses would
+        fill the LRU with entries nobody reads; constant loads (S1-S5
+        and D3's quiet device) repeat and keep hitting."""
+        env = EdgeCloudEnvironment(build_device("mi8pro"),
+                                   scenario=scenario, seed=4)
+        engine = env.cost_engine
+        network = zoo["mobilenet_v3"]
+        target = next(target for target in env.targets()
+                      if not target.is_remote)
+        for _ in range(5):
+            observation = env.observe()
+            first = engine.local_nominal(network, target, observation)
+            assert engine.local_nominal(network, target, observation) \
+                == first
+        assert (len(engine._exact_local) > 0) is stores
+        assert engine.exact_hits == (9 if stores else 0)
+
+
 class TestNetworkTables:
     def test_lazy_per_network_build(self, env, zoo):
         observation = env.observe()

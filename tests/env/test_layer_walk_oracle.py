@@ -11,6 +11,10 @@ to the walk with ``==`` (never approx):
   ``local_execution`` / ``remote_execution`` plus the fault injector —
   results, RNG bit-generator state and clock — on D1-D4 and under a
   chaos fault plan with deadlines;
+- ``execute_split`` / ``execute_pipelined`` (head, tail and segment
+  nominals sliced from the same tables) equal the layer-walking
+  ``partitioned_execution`` / ``pipelined_local_execution`` — results,
+  RNG bit-generator state and clock — deterministic and seeded-noisy;
 - a slowdown below 1 is rejected on every path, as the walk rejects it.
 """
 
@@ -20,11 +24,17 @@ import numpy as np
 import pytest
 
 import repro.faults  # noqa: F401  (registers the real fault injector)
+from repro.baselines.mosaic import MosaicScheduler
 from repro.common import ConfigError, make_rng
 from repro.core.batchtrain import BatchTrainer
 from repro.core.engine import AutoScale
 from repro.env.environment import EdgeCloudEnvironment
-from repro.env.executor import local_execution, remote_execution
+from repro.env.executor import (
+    local_execution,
+    partitioned_execution,
+    pipelined_local_execution,
+    remote_execution,
+)
 from repro.env.injection import resolve_injector
 from repro.env.qos import use_case_for
 from repro.env.target import ExecutionTarget, Location
@@ -32,6 +42,7 @@ from repro.faults.plan import FaultPlan, OutageWindow
 from repro.hardware.devices import PHONE_NAMES, build_device
 from repro.interference.corunner import CoRunnerLoad
 from repro.interference.model import InterferenceModel
+from repro.models.quantization import Precision
 
 SLOWDOWNS = (1.0, 1.37, 2.5)
 
@@ -180,6 +191,151 @@ class TestExecuteEqualsTheWalk:
         assert env.fault_stats.total_failures > 0
 
 
+def _load_of(observation):
+    return CoRunnerLoad(cpu_util=observation.cpu_util,
+                        mem_util=observation.mem_util)
+
+
+def _twin_envs(scenario):
+    return [EdgeCloudEnvironment(build_device("mi8pro"), scenario=scenario,
+                                 seed=31)
+            for _ in range(2)]
+
+
+def _reference_split(env, network, point, local_target, remote_target,
+                     observation, deterministic):
+    """``execute_split`` as the per-layer walk computes it."""
+    remote, link = env._remote_setup(remote_target)
+    rssi_dbm = (observation.rssi_wlan_dbm
+                if remote_target.location is Location.CLOUD
+                else observation.rssi_p2p_dbm)
+    result = partitioned_execution(
+        env.device, remote, network, point, local_target, remote_target,
+        link, rssi_dbm, _load_of(observation), env.interference,
+        env.accuracy, rng=None if deterministic else env.rng,
+        noise=env.noise)
+    if not deterministic:
+        env.advance_clock(result.latency_ms + env.think_time_ms)
+    return result
+
+
+def _reference_pipelined(env, network, segments, observation,
+                         deterministic):
+    """``execute_pipelined`` as the per-layer walk computes it."""
+    result = pipelined_local_execution(
+        env.device, network, segments, _load_of(observation),
+        env.interference, env.accuracy,
+        rng=None if deterministic else env.rng, noise=env.noise)
+    if not deterministic:
+        env.advance_clock(result.latency_ms + env.think_time_ms)
+    return result
+
+
+def _assert_twins_agree(fast, walk):
+    assert fast.clock.now_ms == walk.clock.now_ms
+    assert fast.rng.bit_generator.state == walk.rng.bit_generator.state
+
+
+SPLIT_SCENARIOS = ("S1", "S2", "S3")
+
+
+class TestSlicesEqualTheWalk:
+    @pytest.mark.parametrize("scenario", SPLIT_SCENARIOS)
+    @pytest.mark.parametrize("name, stride", (("mobilenet_v3", 1),
+                                              ("resnet_50", 6),
+                                              ("mobilebert", 4)))
+    def test_execute_split(self, zoo, scenario, name, stride):
+        network = zoo[name]
+        num_layers = len(network.layers)
+        points = sorted(set(range(0, num_layers + 1, stride))
+                        | {1, num_layers - 1, num_layers})
+        fast, walk = _twin_envs(scenario)
+        cpu_steps = fast.device.soc.cpu.num_vf_steps
+        gpu_steps = fast.device.soc.processor("gpu").num_vf_steps
+        plans = (
+            (ExecutionTarget(Location.LOCAL, "cpu", Precision.FP32, 0),
+             ExecutionTarget(Location.CLOUD, "gpu", Precision.FP32)),
+            (ExecutionTarget(Location.LOCAL, "cpu", Precision.INT8,
+                             cpu_steps - 1),
+             ExecutionTarget(Location.CLOUD, "cpu", Precision.FP32)),
+            (ExecutionTarget(Location.LOCAL, "gpu", Precision.FP16,
+                             gpu_steps // 2),
+             ExecutionTarget(Location.CONNECTED, "cpu", Precision.FP32)),
+        )
+        for local_target, remote_target in plans:
+            for point in points:
+                observations = [env.observe() for env in (fast, walk)]
+                for deterministic in (True, False):
+                    got = fast.execute_split(
+                        network, point, local_target, remote_target,
+                        observations[0], deterministic=deterministic)
+                    want = _reference_split(
+                        walk, network, point, local_target, remote_target,
+                        observations[1], deterministic)
+                    assert got == want, (point, local_target.key,
+                                         remote_target.key, deterministic)
+                    _assert_twins_agree(fast, walk)
+
+    @pytest.mark.parametrize("scenario", SPLIT_SCENARIOS)
+    def test_execute_pipelined(self, zoo, scenario):
+        fast, walk = _twin_envs(scenario)
+        cpu_steps = fast.device.soc.cpu.num_vf_steps
+        cpu_top = ExecutionTarget(Location.LOCAL, "cpu", Precision.INT8,
+                                  cpu_steps - 1)
+        cpu_low = ExecutionTarget(Location.LOCAL, "cpu", Precision.FP32, 3)
+        gpu = ExecutionTarget(Location.LOCAL, "gpu", Precision.FP16, 0)
+        dsp = ExecutionTarget(Location.LOCAL, "dsp", Precision.INT8, 0)
+        networks = [zoo[name] for name in
+                    ("mobilenet_v3", "inception_v1", "resnet_50",
+                     "mobilebert")]
+        plans = []
+        for network in networks:
+            num_layers = len(network.layers)
+            third = num_layers // 3
+            plans += [
+                (network, [(num_layers, cpu_top)]),
+                (network, [(num_layers, gpu)]),
+                (network, [(third, dsp), (num_layers - third, cpu_low)]),
+                (network, [(1, gpu), (num_layers - 1, cpu_top)]),
+                (network, [(third, gpu), (third, dsp),
+                           (num_layers - 2 * third, cpu_top)]),
+                (network, [(third, cpu_top), (third, cpu_low),
+                           (num_layers - 2 * third, gpu)]),
+            ]
+        # MOSAIC's own plans, as the scheduler hands them to the env.
+        mosaic = MosaicScheduler()
+        use_cases = [use_case_for(network) for network in networks]
+        mosaic.train(fast, use_cases, rng=make_rng(2))
+        plans += [(use_case.network, mosaic.select(fast, use_case, None))
+                  for use_case in use_cases]
+        assert {len(segments) for _, segments in plans} == {1, 2, 3}
+        for network, segments in plans:
+            observations = [env.observe() for env in (fast, walk)]
+            for deterministic in (True, False):
+                got = fast.execute_pipelined(network, segments,
+                                             observations[0],
+                                             deterministic=deterministic)
+                want = _reference_pipelined(walk, network, segments,
+                                            observations[1], deterministic)
+                assert got == want, (network.name, segments, deterministic)
+                _assert_twins_agree(fast, walk)
+
+    def test_invalid_plans_rejected(self, zoo, env):
+        network = zoo["mobilenet_v3"]
+        num_layers = len(network.layers)
+        cpu = ExecutionTarget(Location.LOCAL, "cpu", Precision.FP32, 0)
+        cloud = ExecutionTarget(Location.CLOUD, "gpu", Precision.FP32)
+        observation = env.observe()
+        for point in (-1, num_layers + 1):
+            with pytest.raises(ConfigError, match="split point"):
+                env.execute_split(network, point, cpu, cloud, observation)
+        for segments in ([(num_layers - 1, cpu)],
+                         [(0, cpu), (num_layers, cpu)],
+                         [(num_layers, cloud)]):
+            with pytest.raises(ConfigError):
+                env.execute_pipelined(network, segments, observation)
+
+
 class TestSlowdownBelowOne:
     """The walk raises for slowdown < 1; the table paths must too."""
 
@@ -206,6 +362,17 @@ class TestSlowdownBelowOne:
     def test_estimate(self, env, zoo, local_target):
         with pytest.raises(ConfigError, match="slowdown must be >= 1"):
             env.estimate(zoo["resnet_50"], local_target, env.observe())
+
+    def test_execute_split(self, env, zoo, local_target):
+        cloud = ExecutionTarget(Location.CLOUD, "gpu", Precision.FP32)
+        with pytest.raises(ConfigError, match="slowdown must be >= 1"):
+            env.execute_split(zoo["resnet_50"], 10, local_target, cloud)
+
+    def test_execute_pipelined(self, env, zoo, local_target):
+        network = zoo["resnet_50"]
+        with pytest.raises(ConfigError, match="slowdown must be >= 1"):
+            env.execute_pipelined(network,
+                                  [(len(network.layers), local_target)])
 
     def test_execute_batch(self, env, zoo, local_target):
         observation = env.observe()

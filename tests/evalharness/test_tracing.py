@@ -136,7 +136,9 @@ class TestResilienceBookkeeping:
         fields.update(overrides)
         return TraceRecord(**fields)
 
-    def test_status_validated(self):
+    def test_status_validated(self, contracts_switch):
+        # TraceRecord's field contracts obey the REPRO_CONTRACTS switch.
+        contracts_switch(True)
         with pytest.raises(ConfigError, match="status"):
             self._record(status="exploded")
         with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.common import (
     ConfigError,
+    NormalBlock,
     ReproError,
     SimulationError,
     Stopwatch,
@@ -107,3 +108,27 @@ class TestStopwatch:
         clock.advance(100.0)
         clock.reset()
         assert clock.now_ms == 0.0
+
+
+class TestNormalBlock:
+    def test_reads_the_scalar_stream_and_resyncs(self):
+        block_rng, scalar_rng = make_rng(3), make_rng(3)
+        block = NormalBlock(block_rng)
+        take = block.extend(4)
+        got = [take(), block.normal(-72.0, 9.0), block.normal(0.0, 0.05)]
+        take = block.extend(6)  # unread values carry over
+        got += [take(), block.normal(0.5, 2.0)]
+        want = [scalar_rng.standard_normal(), scalar_rng.normal(-72.0, 9.0),
+                scalar_rng.normal(0.0, 0.05), scalar_rng.standard_normal(),
+                scalar_rng.normal(0.5, 2.0)]
+        assert got == want
+        assert block.read_count == 5
+        block.sync()
+        assert block_rng.bit_generator.state \
+            == scalar_rng.bit_generator.state
+
+    def test_negative_scale_rejected(self):
+        block = NormalBlock(make_rng(0))
+        block.extend(1)
+        with pytest.raises(ConfigError):
+            block.normal(0.0, -1.0)
