@@ -10,6 +10,7 @@ Scale: set ``REPRO_BENCH_SCALE=paper`` for the paper's episode sizes
 unset) uses a moderate scale that preserves every directional claim.
 """
 
+import gc
 import os
 import pathlib
 
@@ -46,6 +47,23 @@ def contracts_switch():
     previous = contracts_enabled()
     yield set_contracts
     set_contracts(previous)
+
+
+@pytest.fixture()
+def settle_heap():
+    """``settle_heap()`` collects garbage and freezes the surviving heap.
+
+    Ratio benchmarks call it before each timed arm, so neither arm pays
+    for collecting what earlier benchmarks in the session left behind;
+    the heap is unfrozen when the benchmark ends.
+    """
+
+    def _settle():
+        gc.collect()
+        gc.freeze()
+
+    yield _settle
+    gc.unfreeze()
 
 
 @pytest.fixture()

@@ -13,6 +13,7 @@ artifact.
 """
 
 import json
+import os
 import time
 
 from conftest import RESULTS_DIR
@@ -83,7 +84,7 @@ def _signature(outcomes):
              served.outcome.energy_mj) for served in outcomes]
 
 
-def test_serving_drain_speedup(contracts_switch):
+def test_serving_drain_speedup(contracts_switch, settle_heap):
     contracts_switch(False)
 
     # Warm both code paths (imports, numpy dispatch, caches) off the
@@ -91,7 +92,9 @@ def test_serving_drain_speedup(contracts_switch):
     _drain(ServingPipeline, BATCH)
     _drain(ReferencePipeline, 1)
 
+    settle_heap()
     scalar_outcomes, scalar_s = _best_of(3, ReferencePipeline, 1)
+    settle_heap()
     vector_outcomes, vector_s = _best_of(3, ServingPipeline, BATCH)
 
     assert len(scalar_outcomes) == REQUESTS
@@ -109,6 +112,7 @@ def test_serving_drain_speedup(contracts_switch):
         "vectorized_requests_per_s": REQUESTS / vector_s,
         "speedup": speedup,
         "identical_outcomes": True,
+        "cpu_count": os.cpu_count(),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_serving.json").write_text(

@@ -6,11 +6,14 @@ more steps/second through :class:`~repro.core.batchtrain.BatchTrainer`
 than through the scalar ``AutoScale.run`` loop, while producing a
 byte-identical Q-table.  Both arms run with contracts off — the
 production configuration — so the comparison measures the engine, not
-the instrumentation.  Results are persisted to
+the instrumentation — and each starts from a collected, frozen heap
+(``settle_heap``), so the ratio does not depend on what ran before it
+in the session.  Results are persisted to
 ``benchmarks/results/BENCH_train.json`` for the CI artifact.
 """
 
 import json
+import os
 import time
 
 from conftest import RESULTS_DIR
@@ -55,14 +58,16 @@ def _best_of(rounds, driver_of):
     return engine, best_s
 
 
-def test_training_campaign_speedup(contracts_switch):
+def test_training_campaign_speedup(contracts_switch, settle_heap):
     contracts_switch(False)
 
     # Warm both code paths (imports, numpy dispatch) off the clock.
     warm = _fresh_engine()
     BatchTrainer(warm).run(use_case_for(build_network("mobilenet_v3")), 5)
 
+    settle_heap()
     scalar_engine, scalar_s = _best_of(3, lambda engine: engine)
+    settle_heap()
     batched_engine, batched_s = _best_of(3, BatchTrainer)
 
     assert scalar_engine.qtable.values.tobytes() \
@@ -82,6 +87,7 @@ def test_training_campaign_speedup(contracts_switch):
         "batched_steps_per_s": steps / batched_s,
         "speedup": speedup,
         "identical_qtable": True,
+        "cpu_count": os.cpu_count(),
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_train.json").write_text(

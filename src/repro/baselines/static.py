@@ -12,6 +12,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 from repro.baselines.base import Scheduler
 from repro.common import SimulationError
 from repro.env.observation import Observation
@@ -26,17 +28,31 @@ __all__ = [
 ]
 
 
+#: environment -> {location: top-V/F targets}; an environment's action
+#: space is fixed at construction, so each set is filtered once.
+_TOP_VF_TARGETS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def _top_vf_targets(environment, location):
-    """The location's targets with local DVFS pinned to the top step."""
-    chosen = {}
-    for target in environment.targets():
-        if target.location is not location:
-            continue
-        slot = (target.role, target.precision)
-        best = chosen.get(slot)
-        if best is None or target.vf_index > best.vf_index:
-            chosen[slot] = target
-    return list(chosen.values())
+    """The location's targets with local DVFS pinned to the top step.
+
+    Computed once per (environment, location) and returned as a tuple.
+    """
+    by_location = _TOP_VF_TARGETS.get(environment)
+    if by_location is None:
+        by_location = _TOP_VF_TARGETS[environment] = {}
+    targets = by_location.get(location)
+    if targets is None:
+        chosen = {}
+        for target in environment.targets():
+            if target.location is not location:
+                continue
+            slot = (target.role, target.precision)
+            best = chosen.get(slot)
+            if best is None or target.vf_index > best.vf_index:
+                chosen[slot] = target
+        targets = by_location[location] = tuple(chosen.values())
+    return targets
 
 
 def _quiescent_observation(observation):

@@ -32,11 +32,15 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.common import ConfigError, UnknownKeyError
-from repro.env.executor import _contention_power_factor
+from repro.env.executor import (
+    LocalPlan,
+    RemotePlan,
+    _contention_power_factor,
+    busy_power_mw,
+)
 from repro.env.result import ExecutionResult
 from repro.env.target import Location
-from repro.hardware.processor import ProcessorKind
-from repro.interference.corunner import ConstantCoRunner, CoRunnerLoad
+from repro.interference.corunner import ConstantCoRunner
 
 __all__ = ["CacheStats", "NominalSweep", "NominalCostEngine"]
 
@@ -45,6 +49,16 @@ __all__ = ["CacheStats", "NominalSweep", "NominalCostEngine"]
 #: (network, target, load) and (network, link, RSSI) combinations while
 #: keeping worst-case growth in dynamic scenarios bounded).
 _EXACT_CACHE_SIZE = 8192
+
+
+def _walk_sum(terms, slowdown, dispatch_ms):
+    """``sum((terms * slowdown + dispatch_ms).tolist())``: a layer walk's
+    latency from its per-layer compute terms, accumulated left to right
+    as the walk accumulates it.  Rejects a slowdown below 1, as
+    ``Processor.layer_latency_ms`` does."""
+    if slowdown < 1.0:
+        raise ConfigError(f"slowdown must be >= 1, got {slowdown}")
+    return sum((terms * slowdown + dispatch_ms).tolist())
 
 
 def _readonly(values):
@@ -233,6 +247,8 @@ class NominalCostEngine:
         self._exact_remote: Dict[Tuple[str, str], float] = {}
         self._exact_links: "OrderedDict" = OrderedDict()
         self._layer_terms: Dict[Tuple, np.ndarray] = {}
+        self._local_columns: Dict[Tuple[str, str], Tuple] = {}
+        self._plans: Dict[str, object] = {}
         self.rebuild()
 
     # ------------------------------------------------------------------
@@ -247,7 +263,7 @@ class NominalCostEngine:
         count = len(self._targets)
         kinds = []
         kind_codes = np.zeros(count, dtype=int)
-        busy_power_mw = np.zeros(count)
+        target_busy_mw = np.zeros(count)
         idle_overhead_power_mw = np.zeros(count)
         local_indices, cloud_indices, connected_indices = [], [], []
         for index, target in enumerate(self._targets):
@@ -257,8 +273,7 @@ class NominalCostEngine:
                 if proc.kind not in kinds:
                     kinds.append(proc.kind)
                 kind_codes[index] = kinds.index(proc.kind)
-                busy_power_mw[index] = self._busy_power_mw(proc,
-                                                           target.vf_index)
+                target_busy_mw[index] = busy_power_mw(proc, target.vf_index)
                 if target.role != "cpu":
                     idle_overhead_power_mw[index] = \
                         device.soc.cpu.idle_power_mw
@@ -270,7 +285,7 @@ class NominalCostEngine:
                 idle_overhead_power_mw[index] = device.soc.cpu.idle_power_mw
         self._kinds = tuple(kinds)
         self._kind_codes = kind_codes
-        self._busy_power_mw_by_target = busy_power_mw
+        self._busy_power_mw_by_target = target_busy_mw
         self._idle_overhead_power_mw = idle_overhead_power_mw
         self._platform_power_mw = device.soc.platform_idle_mw
         self._local_indices = np.array(local_indices, dtype=int)
@@ -278,18 +293,31 @@ class NominalCostEngine:
         self._connected_indices = np.array(connected_indices, dtype=int)
         self.invalidate(network_tables=True)
 
-    @staticmethod
-    def _busy_power_mw(proc, vf_index):
-        """The eq. (1)-(3) busy power the scalar energy models charge."""
-        if proc.kind is ProcessorKind.CPU:
-            # cpu_energy_mj with the default full-cluster utilization.
-            core_fraction = proc.num_cores / proc.num_cores
-            return proc.idle_power_mw + (
-                proc.busy_power_at(vf_index) - proc.idle_power_mw
-            ) * core_fraction
-        if proc.kind is ProcessorKind.GPU:
-            return proc.busy_power_at(vf_index)
-        return proc.busy_power_mw  # DSP/NPU: constant pre-measured power
+    # ------------------------------------------------------------------
+    # Per-target finishing plans (the request kernel)
+    # ------------------------------------------------------------------
+
+    def plan(self, target):
+        """The :class:`~repro.env.executor.LocalPlan` /
+        :class:`~repro.env.executor.RemotePlan` that serves ``target``'s
+        requests, built on first use and kept until the topology or the
+        network definitions change (:meth:`rebuild`,
+        ``invalidate(network_tables=True)``).
+
+        Raises :class:`ConfigError` for a remote target whose remote
+        system the environment lacks.
+        """
+        plan = self._plans.get(target.key)
+        if plan is None:
+            env = self._environment
+            if target.location is Location.LOCAL:
+                plan = LocalPlan(env.device, target, self, env.accuracy)
+            else:
+                _, link = env._remote_setup(target)
+                plan = RemotePlan(env.device, target, link, self,
+                                  env.accuracy, env.interference)
+            self._plans[target.key] = plan
+        return plan
 
     # ------------------------------------------------------------------
     # Per-network tables
@@ -393,6 +421,19 @@ class NominalCostEngine:
             self._layer_terms[key] = terms
         return terms
 
+    def _local_terms(self, network, target):
+        """``(proc, terms[:, vf])`` for a local target: its processor and
+        the per-layer compute terms at its V/F step (a view of
+        :meth:`_terms_for`), looked up by plain string keys."""
+        key = (network.name, target.key)
+        entry = self._local_columns.get(key)
+        if entry is None:
+            proc = self._environment.device.soc.processor(target.role)
+            terms = self._terms_for("local", proc, network, target.precision)
+            entry = self._local_columns[key] = (proc,
+                                                terms[:, target.vf_index])
+        return entry
+
     def local_slice_ms(self, network, target, slowdown, start, stop):
         """Nominal latency of ``network.layers[start:stop]`` on a local
         target at ``slowdown``.
@@ -401,14 +442,8 @@ class NominalCostEngine:
         (see :meth:`_terms_for`), including its rejection of a slowdown
         below 1.
         """
-        if slowdown < 1.0:
-            raise ConfigError(f"slowdown must be >= 1, got {slowdown}")
-        proc = self._environment.device.soc.processor(target.role)
-        terms = self._terms_for("local", proc, network, target.precision)
-        return sum(
-            (terms[start:stop, target.vf_index] * slowdown
-             + proc.dispatch_ms).tolist()
-        )
+        proc, column = self._local_terms(network, target)
+        return _walk_sum(column[start:stop], slowdown, proc.dispatch_ms)
 
     def remote_slice_ms(self, network, target, start, stop):
         """Nominal latency of ``network.layers[start:stop]`` on a remote
@@ -421,40 +456,40 @@ class NominalCostEngine:
         terms = self._terms_for("cloud" if is_cloud else "edge",
                                 remote_proc, network, target.precision)
         # slowdown 1.0 is an exact no-op, kept to mirror the walk.
-        return sum(
-            (terms[start:stop, -1] * 1.0 + remote_proc.dispatch_ms).tolist()
-        )
+        return _walk_sum(terms[start:stop, -1], 1.0, remote_proc.dispatch_ms)
 
     def local_nominal(self, network, target, observation):
         """``(proc, nominal_ms, slowdown)`` for one local target.
 
         Bit-identical to what :func:`~repro.env.executor.local_execution`
-        computes inline; keyed on the exact co-runner load.  Raises
+        computes inline; keyed on the exact co-runner load, which is read
+        off ``observation`` itself (the interference model only reads its
+        ``cpu_util``/``mem_util``).  Raises
         :class:`ConfigError` for a slowdown below 1, as the layer walk
         (``Processor.layer_latency_ms``) does.
 
-        Misses are only stored while the scenario's co-runner is a
+        The cache is only read and written while the scenario's
+        co-runner is a
         :class:`~repro.interference.corunner.ConstantCoRunner`: a
         jittered trace load never repeats, so caching it would only fill
         the LRU with entries nobody reads.
         """
-        key = (network.name, target.key,
-               observation.cpu_util, observation.mem_util)
-        entry = self._exact_local.get(key)
-        if entry is not None:
-            self.exact_hits += 1
-            self._exact_local.move_to_end(key)
-            return entry
-        self.exact_misses += 1
         env = self._environment
-        proc = env.device.soc.processor(target.role)
-        load = CoRunnerLoad(cpu_util=observation.cpu_util,
-                            mem_util=observation.mem_util)
-        slowdown = env.interference.slowdown(proc.kind, load)
-        nominal_ms = self.local_slice_ms(network, target, slowdown, 0,
-                                         len(network.layers))
-        entry = (proc, nominal_ms, slowdown)
-        if isinstance(env.scenario.corunner, ConstantCoRunner):
+        cached = isinstance(env.scenario.corunner, ConstantCoRunner)
+        if cached:
+            key = (network.name, target.key,
+                   observation.cpu_util, observation.mem_util)
+            entry = self._exact_local.get(key)
+            if entry is not None:
+                self.exact_hits += 1
+                self._exact_local.move_to_end(key)
+                return entry
+        self.exact_misses += 1
+        proc, column = self._local_terms(network, target)
+        slowdown = env.interference.slowdown(proc.kind, observation)
+        entry = (proc, _walk_sum(column, slowdown, proc.dispatch_ms),
+                 slowdown)
+        if cached:
             self._exact_local[key] = entry
             if len(self._exact_local) > _EXACT_CACHE_SIZE:
                 self._exact_local.popitem(last=False)
@@ -535,8 +570,6 @@ class NominalCostEngine:
         env = self._environment
         table = self._table_for(network)
         count = len(self._targets)
-        load = CoRunnerLoad(cpu_util=observation.cpu_util,
-                            mem_util=observation.mem_util)
         interference = env.interference
         latency_ms = np.zeros(count)
         energy_mj = np.zeros(count)
@@ -545,7 +578,8 @@ class NominalCostEngine:
         local = self._local_indices
         if local.size:
             slowdown_by_kind = np.array([
-                interference.slowdown(kind, load) for kind in self._kinds
+                interference.slowdown(kind, observation)
+                for kind in self._kinds
             ])
             slowdown = slowdown_by_kind[self._kind_codes[local]]
             local_latency_ms = (table.compute_ms[local] * slowdown
@@ -557,12 +591,12 @@ class NominalCostEngine:
                 + self._idle_overhead_power_mw[local]
                 * local_latency_ms / 1000.0
             )
-            contention = _contention_power_factor(load)
+            contention = _contention_power_factor(observation)
             latency_ms[local] = local_latency_ms
             estimated_energy_mj[local] = busy_mj + overhead_mj
             energy_mj[local] = busy_mj * contention + overhead_mj
 
-        tx_slow = interference.transmission_slowdown(load)
+        tx_slow = interference.transmission_slowdown(observation)
         for indices, link, rssi_dbm in (
             (self._cloud_indices, env.wifi, observation.rssi_wlan_dbm),
             (self._connected_indices, env.p2p, observation.rssi_p2p_dbm),
@@ -619,6 +653,8 @@ class NominalCostEngine:
             self._exact_remote.clear()
             self._exact_links.clear()
             self._layer_terms.clear()
+            self._local_columns.clear()
+            self._plans.clear()
 
     def stats(self):
         """Current :class:`CacheStats` snapshot."""

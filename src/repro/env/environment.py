@@ -22,25 +22,21 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.common import ConfigError, Stopwatch, make_rng
 from repro.env.costcache import NominalCostEngine
 from repro.env.injection import resolve_injector
 from repro.env.executor import (
     NoiseConfig,
     check_segments,
-    finish_local_execution,
     finish_partitioned_execution,
     finish_pipelined_execution,
-    finish_remote_execution,
     jitter_plan,
     pipeline_jitter_sigmas,
     split_jitter_sigmas,
 )
 from repro.env.observation import sample_observation
 from repro.env.scenarios import build_scenario
-from repro.env.target import ExecutionTarget, Location, enumerate_targets
+from repro.env.target import Location, enumerate_targets
 from repro.hardware.devices import cloud_server, galaxy_tab_s6
 from repro.interference.corunner import ConstantCoRunner
 from repro.interference.model import InterferenceModel
@@ -60,17 +56,17 @@ _INTER_ARRIVAL_MS = 150.0
 _UNIT_JITTERS = (1.0,) * 5
 
 
-def _spread_draws(draws, cursor, draw_flags):
-    """One request's jitters from ``draws[cursor:]``, in slot order.
+def _spread_draws(sigmas, normals, cursor, draw_flags):
+    """One request's jitters, in slot order, from position ``cursor``.
 
-    A drawing slot takes ``exp`` of the next draw; a zero-sigma slot is
-    1.0.  Returns ``(jitters, cursor)`` with the cursor past the draws
-    consumed.
+    A drawing slot takes ``exp(sigma * z)`` of the next aligned
+    ``(sigmas, normals)`` pair; a zero-sigma slot is 1.0.  Returns
+    ``(jitters, cursor)`` with the cursor past the draws consumed.
     """
     jitters = []
     for has_draw in draw_flags:
         if has_draw:
-            jitters.append(math.exp(draws[cursor]))
+            jitters.append(math.exp(sigmas[cursor] * normals[cursor]))
             cursor += 1
         else:
             jitters.append(1.0)
@@ -161,9 +157,9 @@ class EdgeCloudEnvironment:
 
         Constant co-runner + constant signals (Table IV's S1-S5) sample
         no RNG values and return identical observations every step, so
-        batched fast paths (training campaigns, the vectorized serving
-        drain) can elide repeated observe/encode work without touching
-        the RNG stream or any downstream value.
+        fast paths (batched training campaigns, the serving drain's
+        feasibility floors) can elide repeated observe/encode work
+        without touching the RNG stream or any downstream value.
         """
         scenario = self._scenario
         return (isinstance(scenario.corunner, ConstantCoRunner)
@@ -216,7 +212,7 @@ class EdgeCloudEnvironment:
 
     def observe(self):
         """Sample the runtime variance at the current virtual time."""
-        return sample_observation(self.scenario, self.rng,
+        return sample_observation(self._scenario, self.rng,
                                   self.clock.now_ms)
 
     def reset(self, seed=None):
@@ -282,12 +278,6 @@ class EdgeCloudEnvironment:
                 if target.location is Location.CLOUD
                 else observation.rssi_p2p_dbm)
 
-    def _load_from(self, observation):
-        # Re-pack the observation into a CoRunnerLoad-compatible shape.
-        from repro.interference.corunner import CoRunnerLoad
-        return CoRunnerLoad(cpu_util=observation.cpu_util,
-                            mem_util=observation.mem_util)
-
     def execute(self, network, target, observation=None, deadline_ms=None):
         """Run one inference and advance virtual time.
 
@@ -300,9 +290,11 @@ class EdgeCloudEnvironment:
         :func:`~repro.env.executor.remote_execution` bit for bit.  The
         jitters are drawn in those functions' order (local ``(latency,
         power)``, remote ``(server, tx, rx, rtt, power)``, zero-sigma
-        slots skipped) as ``sigmas * rng.standard_normal(n)``: the same
-        stream and values as ``rng.normal(0.0, sigmas)`` (see
-        :meth:`_jitter_plans`).
+        slots skipped) as ``exp(sigma * z)`` over one
+        ``rng.standard_normal(n)`` call: the same stream and values as
+        ``rng.normal(0.0, sigmas)`` (see :meth:`_jitter_plans`).  The
+        request is billed by the target's finishing plan
+        (:meth:`~repro.env.costcache.NominalCostEngine.plan`).
 
         With an active fault plan, a remote attempt may come back as a
         :class:`~repro.faults.FailedAttempt` that bills the energy the
@@ -343,65 +335,47 @@ class EdgeCloudEnvironment:
     def _target_jitters(self, target):
         """One whole-model request's jitters, drawn in the scalar order."""
         _, local_plan, remote_plan = self._jitter_plans()
-        positive_sigmas, draw_flags = (remote_plan if target.is_remote
-                                       else local_plan)
-        draws = (positive_sigmas
-                 * self.rng.standard_normal(positive_sigmas.size)
-                 if positive_sigmas.size else ())
-        jitters, _ = _spread_draws(draws, 0, draw_flags)
+        sigmas, draw_flags = remote_plan if target.is_remote else local_plan
+        if not sigmas:
+            return _UNIT_JITTERS
+        normals = self.rng.standard_normal(len(sigmas)).tolist()
+        jitters, _ = _spread_draws(sigmas, normals, 0, draw_flags)
         return jitters
 
     def _jitter_plans(self):
         """Per-location jitter plans for the current noise config.
 
-        The positive sigmas are stored pre-converted to an ndarray.
-        Draws are ``sigmas * rng.standard_normal(n)`` rather than
-        ``rng.normal(0.0, sigmas)``: NumPy computes the latter as
-        ``0.0 + sigma * z`` from the same standard-normal stream, which
-        differs only in the sign of a zero (and ``exp(±0) == 1``), and
-        skips its Python-level ``scale < 0`` pass.  That check cannot
-        fire here — :func:`~repro.env.executor.jitter_plan` keeps only
-        sigmas > 0 and :class:`~repro.env.executor.NoiseConfig` rejects
-        negative ones — and is made once below, when a plan is cached.
+        Each plan is ``(positive_sigmas, draw_flags)`` (see
+        :func:`~repro.env.executor.jitter_plan`).  A slot's jitter is
+        ``exp(sigma * z)`` for its standard normal ``z``, drawn with the
+        request's others in one ``rng.standard_normal(n)`` call: NumPy
+        computes ``rng.normal(0.0, sigma)`` as ``0.0 + sigma * z`` from
+        the same stream, which differs only in the sign of a zero
+        (``exp(±0) == 1``), and skips its Python-level ``scale < 0``
+        pass.  That check cannot fire here —
+        :func:`~repro.env.executor.jitter_plan` keeps only sigmas > 0
+        and :class:`~repro.env.executor.NoiseConfig` rejects negative
+        ones — and is made once below, when a plan is cached.
         """
         plans = getattr(self, "_jitter_plan_cache", None)
         if plans is None or plans[0] is not self.noise:
             local_sigmas, local_flags = jitter_plan(self.noise, False)
             remote_sigmas, remote_flags = jitter_plan(self.noise, True)
             plans = (self.noise,
-                     (np.asarray(local_sigmas), local_flags),
-                     (np.asarray(remote_sigmas), remote_flags))
+                     (tuple(local_sigmas), local_flags),
+                     (tuple(remote_sigmas), remote_flags))
             for sigmas, _ in plans[1:]:
-                if not (sigmas > 0.0).all():
+                if not all(sigma > 0.0 for sigma in sigmas):
                     raise ConfigError(
                         f"jitter sigmas must be positive, got {sigmas}")
             self._jitter_plan_cache = plans
         return plans
 
     def _finish_cached(self, network, target, observation, jitters):
-        """Complete one request from cached nominals + drawn jitters."""
-        engine = self._cost_engine
-        if target.location is Location.LOCAL:
-            proc, nominal_ms, slowdown = engine.local_nominal(
-                network, target, observation
-            )
-            return finish_local_execution(
-                self.device, proc, network, target, observation,
-                self.accuracy, nominal_ms, slowdown,
-                jitters[0], jitters[1],
-            )
-        _, link = self._remote_setup(target)
-        rssi_dbm = self._rssi_for(target, observation)
-        remote_nominal_ms = engine.remote_nominal_ms(network, target)
-        tx_base_ms, rx_base_ms, rtt_base_ms = engine.link_nominal(
-            network, target, rssi_dbm
-        )
-        tx_slow = self.interference.transmission_slowdown(observation)
-        return finish_remote_execution(
-            self.device, network, target, link, rssi_dbm, self.accuracy,
-            remote_nominal_ms, tx_base_ms, rx_base_ms, rtt_base_ms,
-            tx_slow, jitters,
-        )
+        """Complete one request through ``target``'s finishing plan:
+        exact cached nominals at ``observation``, then eq. (1)-(4)."""
+        return self._cost_engine.plan(target).run(network, observation,
+                                                  jitters)
 
     # ------------------------------------------------------------------
     # Batched execution (vectorized jitter draws)
@@ -415,8 +389,8 @@ class EdgeCloudEnvironment:
         ``i`` draws its jitters in the scalar order — local targets
         ``(latency, power)``, remote targets ``(server, tx, rx, rtt,
         power)`` — skipping any zero-sigma slot exactly as the scalar
-        ``_jitter`` does.  All of the chunk's positive sigmas are drawn
-        as ``sigmas * rng.standard_normal(n)`` in a **single** call;
+        ``_jitter`` does.  All of the chunk's standard normals are drawn
+        by one ``rng.standard_normal(n)`` call;
         NumPy's ``Generator`` fills the array element-wise from the same
         stream, so the draws (and the bit-generator state afterwards)
         are bit-identical to scalar per-request draws.
@@ -444,15 +418,15 @@ class EdgeCloudEnvironment:
             positive_sigmas, _ = (remote_plan if target.is_remote
                                   else local_plan)
             chunk_sigmas.extend(positive_sigmas)
-        draws = (np.asarray(chunk_sigmas)
-                 * self.rng.standard_normal(len(chunk_sigmas))
-                 if chunk_sigmas else ())
+        normals = (self.rng.standard_normal(len(chunk_sigmas)).tolist()
+                   if chunk_sigmas else ())
         cursor = 0
         results = []
         for target, observation in zip(targets, observations):
             _, draw_flags = (remote_plan if target.is_remote
                              else local_plan)
-            jitters, cursor = _spread_draws(draws, cursor, draw_flags)
+            jitters, cursor = _spread_draws(chunk_sigmas, normals, cursor,
+                                            draw_flags)
             result = self._finish_cached(network, target, observation,
                                          jitters)
             self.kernel.advance_by(result.latency_ms + self.think_time_ms)
@@ -495,18 +469,16 @@ class EdgeCloudEnvironment:
     def _draw_jitters(self, sigmas, deterministic):
         """One multiplicative jitter per slot of ``sigmas``, in order.
 
-        A positive sigma takes ``exp`` of its draw from one
-        ``sigmas * rng.standard_normal(n)`` call (see
-        :meth:`_jitter_plans`); a zero sigma, or a deterministic run,
-        gives 1.0.
+        A positive sigma takes ``exp(sigma * z)`` of its draw from one
+        ``rng.standard_normal(n)`` call (see :meth:`_jitter_plans`); a
+        zero sigma, or a deterministic run, gives 1.0.
         """
         if deterministic:
             return (1.0,) * len(sigmas)
         positive_sigmas = [sigma for sigma in sigmas if sigma > 0.0]
-        draws = (np.asarray(positive_sigmas)
-                 * self.rng.standard_normal(len(positive_sigmas))
-                 if positive_sigmas else ())
-        jitters, _ = _spread_draws(draws, 0,
+        normals = (self.rng.standard_normal(len(positive_sigmas)).tolist()
+                   if positive_sigmas else ())
+        jitters, _ = _spread_draws(positive_sigmas, normals, 0,
                                    [sigma > 0.0 for sigma in sigmas])
         return jitters
 
@@ -536,9 +508,8 @@ class EdgeCloudEnvironment:
             result = self._finish_cached(network, target, observation,
                                          jitters)
         else:
-            load = self._load_from(observation)
             proc = self.device.soc.processor(local_target.role)
-            slowdown = self.interference.slowdown(proc.kind, load)
+            slowdown = self.interference.slowdown(proc.kind, observation)
             engine = self._cost_engine
             local_nominal_ms = engine.local_slice_ms(
                 network, local_target, slowdown, 0, split_point)
@@ -549,9 +520,10 @@ class EdgeCloudEnvironment:
             result = finish_partitioned_execution(
                 self.device, network, split_point, local_target,
                 remote_target, link,
-                self._rssi_for(remote_target, observation), load,
+                self._rssi_for(remote_target, observation), observation,
                 self.accuracy, proc, local_nominal_ms, remote_nominal_ms,
-                self.interference.transmission_slowdown(load), jitters,
+                self.interference.transmission_slowdown(observation),
+                jitters,
             )
         if not deterministic:
             self.kernel.advance_by(result.latency_ms + self.think_time_ms)
@@ -563,14 +535,13 @@ class EdgeCloudEnvironment:
         if observation is None:
             observation = self.observe()
         check_segments(network, segments)
-        load = self._load_from(observation)
         engine = self._cost_engine
         procs = []
         nominal_ms = []
         cursor = 0
         for count, target in segments:
             proc = self.device.soc.processor(target.role)
-            slowdown = self.interference.slowdown(proc.kind, load)
+            slowdown = self.interference.slowdown(proc.kind, observation)
             nominal_ms.append(engine.local_slice_ms(
                 network, target, slowdown, cursor, cursor + count))
             procs.append(proc)
@@ -579,7 +550,7 @@ class EdgeCloudEnvironment:
             pipeline_jitter_sigmas(self.noise, len(segments)),
             deterministic)
         result = finish_pipelined_execution(
-            self.device, network, segments, procs, nominal_ms, load,
+            self.device, network, segments, procs, nominal_ms, observation,
             self.accuracy, jitters,
         )
         if not deterministic:

@@ -16,6 +16,13 @@ Ground truth differs from the estimate in two ways, mirroring reality:
 Passing ``rng=None`` disables all noise, turning every function into the
 deterministic *nominal model* — exactly what the prediction-based baselines
 (and the Opt oracle construction) fit or search over.
+
+Whole-model runs are billed by one finisher per location:
+:class:`LocalPlan` (eq. 1-3) and :class:`RemotePlan` (eq. 4), built once
+per target with every latency-independent coefficient folded in.  The
+environment's execution paths and the batched trainer hold one plan per
+(environment, target); the layer-walking :func:`local_execution` /
+:func:`remote_execution` build one per call.
 """
 
 from __future__ import annotations
@@ -23,11 +30,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.analysis.contracts import (
+    contracts_enabled,
+    ensure_duration_ms,
+    ensure_energy_mj,
+    ensure_latency_ms,
+    ensure_power_mw,
+    ensure_rssi_dbm,
+)
 from repro.common import ConfigError
 from repro.env.result import ExecutionResult
-from repro.env.target import ExecutionTarget, Location
+from repro.env.target import Location
 from repro.hardware.power import (
     cpu_energy_mj,
     dsp_energy_mj,
@@ -35,13 +48,17 @@ from repro.hardware.power import (
     platform_energy_mj,
 )
 from repro.hardware.processor import ProcessorKind
-from repro.wireless.energy import transmission_energy_mj
+from repro.wireless.energy import (
+    TransmissionBreakdown,
+    transmission_energy_mj,
+)
 
 __all__ = [
     "NoiseConfig",
     "jitter_plan",
-    "finish_local_execution",
-    "finish_remote_execution",
+    "busy_power_mw",
+    "LocalPlan",
+    "RemotePlan",
     "local_execution",
     "remote_execution",
     "split_jitter_sigmas",
@@ -109,6 +126,9 @@ def jitter_plan(noise, is_remote):
             tuple(sigma > 0.0 for sigma in sigmas))
 
 
+_INF = math.inf
+
+
 def _contention_power_factor(load):
     """Busy-power surcharge from co-runner bus/DRAM traffic (truth only)."""
     return 1.0 + 0.10 * load.mem_util + 0.05 * load.cpu_util
@@ -131,106 +151,262 @@ def _host_overheads_mj(device, latency_ms, role):
     return energy_mj
 
 
-def finish_local_execution(device, proc, network, target, load,
-                           accuracy_table, nominal_ms, slowdown,
-                           lat_jitter, pwr_jitter):
-    """Complete a local execution from its nominal components + jitters.
+def busy_power_mw(proc, vf_index):
+    """The busy power eq. (1)-(3) charge for a fully busy run on ``proc``.
 
-    The arithmetic here is the *single source of truth* shared by
-    :func:`local_execution` (which walks the layers for the nominal and
-    draws the jitters itself) and the environment's execution path
-    (:meth:`EdgeCloudEnvironment.execute`, which reads the nominal from
-    the exact layer-term cache and draws the jitters in one call) — so
-    the two are bit-identical by construction.  ``load`` only feeds the
-    contention power factor, so any object with ``cpu_util``/``mem_util``
-    (a ``CoRunnerLoad`` or an ``Observation``) works.
+    :func:`~repro.hardware.power.cpu_energy_mj` (full-cluster
+    utilization), :func:`~repro.hardware.power.gpu_energy_mj` and
+    :func:`~repro.hardware.power.dsp_energy_mj` all reduce to
+    ``busy_power_mw(proc, vf_index) * busy_ms / 1000.0`` when nothing
+    idles.
     """
-    latency_ms = nominal_ms * lat_jitter
-    busy_mj = _processor_energy(proc, latency_ms, target.vf_index)
-    overhead_mj = _host_overheads_mj(device, latency_ms, target.role)
-    estimate_mj = busy_mj + overhead_mj
-    truth_mj = (
-        busy_mj * _contention_power_factor(load)
-        * pwr_jitter
-        + overhead_mj
-    )
-    return ExecutionResult(
-        latency_ms=latency_ms,
-        energy_mj=truth_mj,
-        estimated_energy_mj=estimate_mj,
-        accuracy_pct=accuracy_table.lookup(network.name, target.precision),
-        target_key=target.key,
-        detail={
-            "compute_ms": latency_ms,
-            "slowdown": slowdown,
-            "busy_mj": busy_mj,
-        },
-    )
+    if proc.kind is ProcessorKind.CPU:
+        core_fraction = proc.num_cores / proc.num_cores
+        return proc.idle_power_mw + (
+            proc.busy_power_at(vf_index) - proc.idle_power_mw
+        ) * core_fraction
+    if proc.kind is ProcessorKind.GPU:
+        return proc.busy_power_at(vf_index)
+    return proc.busy_power_mw  # DSP/NPU: constant pre-measured power
+
+
+class _TargetPlan:
+    """State shared by the two whole-model finishing plans.
+
+    A plan built by the cost engine carries the engine (for the exact
+    nominal components) and the accuracy table; :meth:`run` then serves
+    a whole request.  One built by the layer-walk functions carries
+    neither and only bills (``finish``).  ``run`` remembers the last
+    ``(observation, network)`` pair it resolved (both are immutable),
+    so a caller that re-issues one
+    :class:`~repro.env.observation.Observation` object (a static
+    scenario's training episode, a serving drain) looks its nominals up
+    once.
+    """
+
+    __slots__ = ("target", "target_key", "platform_power_mw",
+                 "host_idle_power_mw", "_engine", "_accuracy_table",
+                 "_accuracy_by_network", "_memo")
+
+    def __init__(self, device, target, engine, accuracy_table):
+        self.target = target
+        self.target_key = target.key
+        self.platform_power_mw = ensure_power_mw(
+            device.soc.platform_idle_mw, "idle_power_mw")
+        self.host_idle_power_mw = ensure_power_mw(
+            device.soc.cpu.idle_power_mw, "idle_power_mw")
+        self._engine = engine
+        self._accuracy_table = accuracy_table
+        self._accuracy_by_network = {}
+        self._memo = (None,)
+
+    def _accuracy_pct(self, network):
+        accuracy_pct = self._accuracy_by_network.get(network.name)
+        if accuracy_pct is None:
+            accuracy_pct = self._accuracy_table.lookup(network.name,
+                                                       self.target.precision)
+            self._accuracy_by_network[network.name] = accuracy_pct
+        return accuracy_pct
+
+
+class LocalPlan(_TargetPlan):
+    """Eq. (1)-(3) finishing plan for one local target.
+
+    Holds the target's busy power (:func:`busy_power_mw`), the platform
+    power, and the host CPU's idle power when the target is not the CPU
+    itself.  :meth:`finish` is the one whole-model local finisher: the
+    environment's execution paths, its nominal estimate, the batched
+    trainer and :func:`local_execution` all bill through it.
+    """
+
+    __slots__ = ("proc", "busy_power_mw")
+
+    def __init__(self, device, target, engine=None, accuracy_table=None):
+        if target.location is not Location.LOCAL:
+            raise ConfigError(f"{target} is not a local target")
+        super().__init__(device, target, engine, accuracy_table)
+        self.proc = device.soc.processor(target.role)
+        self.busy_power_mw = busy_power_mw(self.proc, target.vf_index)
+        if target.role == "cpu":
+            self.host_idle_power_mw = None
+
+    def run(self, network, observation, jitters):
+        """One request: exact nominals at ``observation``, then
+        :meth:`finish` with ``jitters`` = ``(latency, power)``."""
+        memo = self._memo
+        if memo[0] is observation and memo[1] is network:
+            nominal_ms, slowdown, accuracy_pct = memo[2:]
+        else:
+            _, nominal_ms, slowdown = self._engine.local_nominal(
+                network, self.target, observation)
+            accuracy_pct = self._accuracy_pct(network)
+            self._memo = (observation, network, nominal_ms, slowdown,
+                          accuracy_pct)
+        return self.finish(nominal_ms, slowdown, observation, accuracy_pct,
+                           jitters[0], jitters[1])
+
+    def finish(self, nominal_ms, slowdown, load, accuracy_pct, lat_jitter,
+               pwr_jitter):
+        """Bill one local run from its nominal latency and two jitters.
+
+        ``load`` only feeds the contention power factor, so any object
+        with ``cpu_util``/``mem_util`` (a ``CoRunnerLoad`` or an
+        ``Observation``) works.  With contracts on, the latency and the
+        energies are validated as the ``@checked`` eq. (1)-(3) functions
+        validate them.
+        """
+        latency_ms = nominal_ms * lat_jitter
+        busy_mj = self.busy_power_mw * latency_ms / 1000.0
+        platform_mj = self.platform_power_mw * latency_ms / 1000.0
+        overhead_mj = platform_mj
+        if self.host_idle_power_mw is not None:
+            overhead_mj += self.host_idle_power_mw * latency_ms / 1000.0
+        if contracts_enabled():
+            ensure_duration_ms(latency_ms, "busy_ms")
+            ensure_energy_mj(busy_mj, "busy_mj")
+            ensure_energy_mj(platform_mj, "platform_mj")
+        return ExecutionResult(
+            latency_ms,
+            busy_mj * _contention_power_factor(load) * pwr_jitter
+            + overhead_mj,
+            busy_mj + overhead_mj,
+            accuracy_pct,
+            self.target_key,
+            {"compute_ms": latency_ms, "slowdown": slowdown,
+             "busy_mj": busy_mj},
+        )
+
+
+class RemotePlan(_TargetPlan):
+    """Eq. (4) finishing plan for one remote target over ``link``.
+
+    Holds the platform and host-CPU idle powers, the radio's RX and
+    connected-idle powers, its tail energy, and its TX-power function of
+    RSSI.  :meth:`finish` is the one whole-model remote finisher (see
+    :class:`LocalPlan`).
+    """
+
+    __slots__ = ("link", "rx_power_mw", "radio_idle_power_mw",
+                 "tail_energy_mj", "tx_power_mw", "_is_cloud",
+                 "_transmission_slowdown")
+
+    def __init__(self, device, target, link, engine=None,
+                 accuracy_table=None, interference=None):
+        if not target.is_remote:
+            raise ConfigError(f"{target} is not a remote target")
+        super().__init__(device, target, engine, accuracy_table)
+        self.link = link
+        self.rx_power_mw = link.rx_power_mw
+        self.radio_idle_power_mw = link.idle_power_mw
+        self.tail_energy_mj = ensure_energy_mj(link.tail_energy_mj(),
+                                               "tail_energy_mj")
+        self.tx_power_mw = link.tx_power_mw
+        self._is_cloud = target.location is Location.CLOUD
+        self._transmission_slowdown = (
+            None if interference is None
+            else interference.transmission_slowdown)
+
+    def run(self, network, observation, jitters):
+        """One request: exact nominals at ``observation``, then
+        :meth:`finish` with ``jitters`` = ``(server, tx, rx, rtt,
+        power)``."""
+        memo = self._memo
+        if memo[0] is observation and memo[1] is network:
+            (remote_nominal_ms, tx_base_ms, rx_base_ms, rtt_base_ms,
+             tx_slow, rssi_dbm, accuracy_pct) = memo[2:]
+        else:
+            rssi_dbm = (observation.rssi_wlan_dbm if self._is_cloud
+                        else observation.rssi_p2p_dbm)
+            engine = self._engine
+            remote_nominal_ms = engine.remote_nominal_ms(network,
+                                                         self.target)
+            tx_base_ms, rx_base_ms, rtt_base_ms = engine.link_nominal(
+                network, self.target, rssi_dbm)
+            tx_slow = self._transmission_slowdown(observation)
+            accuracy_pct = self._accuracy_pct(network)
+            self._memo = (observation, network, remote_nominal_ms,
+                          tx_base_ms, rx_base_ms, rtt_base_ms, tx_slow,
+                          rssi_dbm, accuracy_pct)
+        return self.finish(remote_nominal_ms, tx_base_ms, rx_base_ms,
+                           rtt_base_ms, tx_slow, rssi_dbm, accuracy_pct,
+                           jitters)
+
+    def finish(self, remote_nominal_ms, tx_base_ms, rx_base_ms, rtt_base_ms,
+               tx_slow, rssi_dbm, accuracy_pct, jitters):
+        """Bill one offload from its nominal components and five jitters.
+
+        ``jitters`` is ``(server, tx, rx, rtt, power)`` in the scalar
+        draw order; the ``*_base_ms`` values are the load- and
+        noise-free link/remote nominals.  Rejects a negative effective
+        transfer and a latency shorter than its transfers, and holds the
+        radio phases to :class:`~repro.wireless.energy.TransmissionBreakdown`'s
+        field checks; with contracts on, also validates the RSSI, the
+        latency and the platform energy as the ``@checked`` eq. (4) and
+        platform functions do.
+        """
+        server_jitter, tx_jitter, rx_jitter, rtt_jitter, pwr_jitter = jitters
+        remote_ms = remote_nominal_ms * server_jitter
+        tx_ms = tx_base_ms * tx_slow * tx_jitter
+        rx_ms = rx_base_ms * tx_slow * rx_jitter
+        rtt_ms = rtt_base_ms * rtt_jitter
+        latency_ms = tx_ms + rtt_ms + remote_ms + rx_ms
+        contracts = contracts_enabled()
+        if contracts:
+            ensure_rssi_dbm(rssi_dbm, "rssi_dbm")
+            ensure_latency_ms(latency_ms, "total_latency_ms")
+        if tx_ms < 0 or rx_ms < 0:
+            raise ConfigError(
+                f"negative effective transfer time (tx {tx_ms}, rx {rx_ms})"
+            )
+        wait_ms = latency_ms - tx_ms - rx_ms
+        if wait_ms < -1e-9:
+            raise ConfigError(
+                f"total latency {latency_ms} ms shorter than transfer "
+                f"time {tx_ms + rx_ms:.3f} ms"
+            )
+        wait_ms = max(0.0, wait_ms)
+        tx_mj = self.tx_power_mw(rssi_dbm) * tx_ms / 1000.0
+        rx_mj = self.rx_power_mw * rx_ms / 1000.0
+        idle_mj = self.radio_idle_power_mw * wait_ms / 1000.0
+        # TransmissionBreakdown's field checks (finite, non-negative) as
+        # one test; the dataclass itself raises the precise error.
+        if not (0.0 <= tx_ms < _INF and 0.0 <= rx_ms < _INF
+                and 0.0 <= wait_ms < _INF and 0.0 <= tx_mj < _INF
+                and 0.0 <= rx_mj < _INF and 0.0 <= idle_mj < _INF):
+            TransmissionBreakdown(tx_ms, rx_ms, wait_ms, tx_mj, rx_mj,
+                                  idle_mj, self.tail_energy_mj)
+        radio_mj = tx_mj + rx_mj + idle_mj + self.tail_energy_mj
+        platform_mj = self.platform_power_mw * latency_ms / 1000.0
+        if contracts:
+            ensure_energy_mj(platform_mj, "platform_mj")
+        overhead_mj = (platform_mj
+                       + self.host_idle_power_mw * latency_ms / 1000.0)
+        return ExecutionResult(
+            latency_ms,
+            radio_mj * pwr_jitter + overhead_mj,
+            radio_mj + overhead_mj,
+            accuracy_pct,
+            self.target_key,
+            {"tx_ms": tx_ms, "rx_ms": rx_ms, "rtt_ms": rtt_ms,
+             "remote_ms": remote_ms, "radio_mj": radio_mj},
+        )
 
 
 def local_execution(device, network, target, load, interference,
                     accuracy_table, rng=None, noise=NoiseConfig()):
     """Run an inference entirely on one of the device's processors."""
-    if target.location is not Location.LOCAL:
-        raise ConfigError(f"{target} is not a local target")
-    proc = device.soc.processor(target.role)
-    slowdown = interference.slowdown(proc.kind, load)
-    nominal_ms = proc.network_latency_ms(
+    plan = LocalPlan(device, target)
+    slowdown = interference.slowdown(plan.proc.kind, load)
+    nominal_ms = plan.proc.network_latency_ms(
         network, target.precision, target.vf_index, slowdown
     )
     # Draw order (the environment's contract): latency, then power.
     lat_jitter = _jitter(rng, noise.latency_sigma)
     pwr_jitter = _jitter(rng, noise.power_sigma)
-    return finish_local_execution(
-        device, proc, network, target, load, accuracy_table,
-        nominal_ms, slowdown, lat_jitter, pwr_jitter,
-    )
-
-
-def finish_remote_execution(device, network, target, link, rssi_dbm,
-                            accuracy_table, remote_nominal_ms, tx_base_ms,
-                            rx_base_ms, rtt_base_ms, tx_slow, jitters):
-    """Complete a remote execution from its nominal components + jitters.
-
-    Shared bit-exact arithmetic for :func:`remote_execution` and the
-    environment's execution path (see :func:`finish_local_execution`).
-    ``jitters`` is the 5-tuple ``(server, tx, rx, rtt, power)`` in the
-    scalar draw order; the ``*_base_ms`` values are the load- and
-    noise-free link/remote nominals :func:`remote_execution` computes
-    inline.
-    """
-    server_jitter, tx_jitter, rx_jitter, rtt_jitter, pwr_jitter = jitters
-    remote_ms = remote_nominal_ms * server_jitter
-    tx_ms = tx_base_ms * tx_slow * tx_jitter
-    rx_ms = rx_base_ms * tx_slow * rx_jitter
-    rtt_ms = rtt_base_ms * rtt_jitter
-    latency_ms = tx_ms + rtt_ms + remote_ms + rx_ms
-
-    radio = transmission_energy_mj(
-        link, rssi_dbm, network.input_bytes, network.output_bytes,
-        latency_ms, tx_ms=tx_ms, rx_ms=rx_ms,
-    )
-    overhead_mj = platform_energy_mj(
-        device.soc.platform_idle_mw, latency_ms
-    ) + device.soc.cpu.idle_power_mw * latency_ms / 1000.0
-    estimate_mj = radio.radio_energy_mj + overhead_mj
-    truth_mj = (
-        radio.radio_energy_mj * pwr_jitter
-        + overhead_mj
-    )
-    return ExecutionResult(
-        latency_ms=latency_ms,
-        energy_mj=truth_mj,
-        estimated_energy_mj=estimate_mj,
-        accuracy_pct=accuracy_table.lookup(network.name, target.precision),
-        target_key=target.key,
-        detail={
-            "tx_ms": tx_ms,
-            "rx_ms": rx_ms,
-            "rtt_ms": rtt_ms,
-            "remote_ms": remote_ms,
-            "radio_mj": radio.radio_energy_mj,
-        },
+    return plan.finish(
+        nominal_ms, slowdown, load,
+        accuracy_table.lookup(network.name, target.precision),
+        lat_jitter, pwr_jitter,
     )
 
 
@@ -245,8 +421,7 @@ def remote_execution(device, remote, network, target, link, rssi_dbm,
     load on the phone slows the radio path (the network stack runs on the
     contended CPU) when ``load``/``interference`` are provided.
     """
-    if not target.is_remote:
-        raise ConfigError(f"{target} is not a remote target")
+    plan = RemotePlan(device, target, link)
     tx_slow = (interference.transmission_slowdown(load)
                if interference is not None and load is not None else 1.0)
     remote_proc = remote.soc.processor(target.role)
@@ -264,10 +439,10 @@ def remote_execution(device, remote, network, target, link, rssi_dbm,
         _jitter(rng, noise.network_sigma),
         _jitter(rng, noise.power_sigma),
     )
-    return finish_remote_execution(
-        device, network, target, link, rssi_dbm, accuracy_table,
-        remote_nominal_ms, tx_base_ms, rx_base_ms, rtt_base_ms,
-        tx_slow, jitters,
+    return plan.finish(
+        remote_nominal_ms, tx_base_ms, rx_base_ms, rtt_base_ms, tx_slow,
+        rssi_dbm, accuracy_table.lookup(network.name, target.precision),
+        jitters,
     )
 
 

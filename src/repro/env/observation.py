@@ -34,6 +34,14 @@ class Observation:
     now_ms: float = 0.0
 
     def __post_init__(self):
+        # One straight-line test per construction; NaN fails every
+        # comparison, so it lands in the per-field path, which raises.
+        if not (0.0 <= self.cpu_util <= 1.0 and 0.0 <= self.mem_util <= 1.0
+                and -120.0 <= self.rssi_wlan_dbm <= -10.0
+                and -120.0 <= self.rssi_p2p_dbm <= -10.0):
+            self._reject()
+
+    def _reject(self):
         for name, value in (("cpu_util", self.cpu_util),
                             ("mem_util", self.mem_util)):
             if not 0.0 <= value <= 1.0:
@@ -49,13 +57,10 @@ def sample_observation(scenario, rng, now_ms):
 
     ``rng`` is the environment's Generator or a
     :class:`~repro.common.NormalBlock` drawn from it; the scenario's
-    models sample the same way from either.
+    compiled :attr:`~repro.env.scenarios.Scenario.readings` sample the
+    same way from either.
     """
-    load, rssi_wlan_dbm, rssi_p2p_dbm = scenario.sample(rng, now_ms)
-    return Observation(
-        cpu_util=load.cpu_util,
-        mem_util=load.mem_util,
-        rssi_wlan_dbm=rssi_wlan_dbm,
-        rssi_p2p_dbm=rssi_p2p_dbm,
-        now_ms=now_ms,
-    )
+    cpu_util, mem_util, rssi_wlan_dbm, rssi_p2p_dbm = scenario.readings(
+        rng, now_ms)
+    return Observation(cpu_util, mem_util, rssi_wlan_dbm, rssi_p2p_dbm,
+                       now_ms)

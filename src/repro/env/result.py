@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.analysis.contracts import (
     ensure_energy_mj,
@@ -13,6 +14,8 @@ from repro.analysis.contracts import (
 from repro.common import ConfigError, ppw_from_energy
 
 __all__ = ["ExecutionResult"]
+
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,20 @@ class ExecutionResult:
     shed = False
 
     def __post_init__(self):
+        # One straight-line test per result: ``0 < x < inf`` holds only
+        # for a finite positive number (NaN fails every comparison).
+        # Anything else takes the per-field path below, which raises.
+        try:
+            valid = (0.0 < self.latency_ms < _INF
+                     and 0.0 < self.energy_mj < _INF
+                     and 0.0 < self.estimated_energy_mj < _INF
+                     and 0.0 <= self.accuracy_pct <= 100.0)
+        except TypeError:
+            valid = False
+        if not valid:
+            self._reject()
+
+    def _reject(self):
         # Finiteness first: NaN slips through plain comparisons (``nan
         # <= 0`` is False), and a NaN latency here would silently poison
         # every downstream benchmark figure.
@@ -71,7 +88,3 @@ class ExecutionResult:
 
     def meets_qos(self, qos_ms):
         return self.latency_ms <= qos_ms
-
-    def estimator_error(self):
-        """Relative error of the eq. (1)-(4) energy estimate."""
-        return abs(self.estimated_energy_mj - self.energy_mj) / self.energy_mj

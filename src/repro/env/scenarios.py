@@ -18,11 +18,12 @@ Dynamic (the variance itself varies over time):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.common import ConfigError, UnknownKeyError
 from repro.interference.corunner import (
     SwitchingCoRunner,
+    corunner_sampler,
     cpu_intensive_corunner,
     memory_intensive_corunner,
     music_player,
@@ -34,6 +35,7 @@ from repro.wireless.signal import (
     WEAK_RSSI_DBM_TYPICAL,
     ConstantSignal,
     GaussianSignal,
+    signal_sampler,
 )
 
 __all__ = [
@@ -47,7 +49,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Scenario:
-    """One Table-IV environment: a co-runner plus two signal processes."""
+    """One Table-IV environment: a co-runner plus two signal processes.
+
+    Construction compiles the three models' samplers (see
+    :func:`~repro.interference.corunner.corunner_sampler` and
+    :func:`~repro.wireless.signal.signal_sampler`) into :attr:`readings`,
+    ``(rng, now_ms) -> (cpu_util, mem_util, rssi_wlan_dbm,
+    rssi_p2p_dbm)``: the draws, draw order and values of :meth:`sample`.
+    """
 
     name: str
     description: str
@@ -59,6 +68,21 @@ class Scenario:
     def __post_init__(self):
         if not self.name:
             raise ConfigError("scenario needs a name")
+        corunner = corunner_sampler(self.corunner)
+        wlan = signal_sampler(self.wlan_signal)
+        p2p = signal_sampler(self.p2p_signal)
+
+        def readings(rng, now_ms):
+            cpu_util, mem_util = corunner(rng, now_ms)
+            return cpu_util, mem_util, wlan(rng, now_ms), p2p(rng, now_ms)
+
+        object.__setattr__(self, "readings", readings)
+
+    def __reduce__(self):
+        # Copies and pickles rebuild from the fields, so the compiled
+        # readings close over the copy's own (possibly stateful) models.
+        return (type(self), tuple(getattr(self, field.name)
+                                  for field in fields(self)))
 
     @property
     def draws_per_sample(self):

@@ -39,7 +39,8 @@ class ExecutionTarget:
 
     ``vf_index`` indexes into the local processor's V/F table and is only
     meaningful for LOCAL targets (remote devices run at their top clock,
-    index -1, since the phone cannot control them).
+    index -1, since the phone cannot control them).  ``is_remote`` is
+    true for cloud and connected-edge targets.
     """
 
     location: Location
@@ -55,6 +56,9 @@ class ExecutionTarget:
                 "remote targets cannot carry a DVFS setting "
                 f"(got vf_index={self.vf_index})"
             )
+        # A plain attribute, not a property: every request's jitter draw
+        # and fault check reads it.
+        object.__setattr__(self, "is_remote", self.location.is_remote)
 
     @cached_property
     def key(self):
@@ -67,10 +71,6 @@ class ExecutionTarget:
             return (f"{self.location.value}/{self.role}/"
                     f"{self.precision.label}/vf{self.vf_index}")
         return f"{self.location.value}/{self.role}/{self.precision.label}"
-
-    @property
-    def is_remote(self):
-        return self.location.is_remote
 
     def __str__(self):
         return self.key

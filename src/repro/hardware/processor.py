@@ -162,10 +162,6 @@ class Processor:
     def max_freq_mhz(self):
         return self.vf_table[-1].freq_mhz
 
-    def vf_step(self, index):
-        """The V/F step at ``index``; negative indices follow list rules."""
-        return self.vf_table[index]
-
     @property
     def supports_dvfs(self):
         return len(self.vf_table) > 1

@@ -12,12 +12,20 @@ workloads can vary over virtual time, and ``draws_per_sample``: the most
 standard-normal draws one sample takes, all through
 ``rng.normal(loc, scale)`` (a pre-drawn block can then stand in for the
 Generator, see :class:`repro.common.NormalBlock`).
+
+The built-in models also compile a *sampler* (:func:`corunner_sampler`):
+a function ``(rng, now_ms) -> (cpu_util, mem_util)`` that takes the same
+draws as :meth:`sample` and evaluates the same IEEE expressions — a draw
+is ``loc + scale * rng.standard_normal()``, exactly what
+``Generator.normal(loc, scale)`` computes, and clamping is
+``max(low, min(high, value))`` — without building a
+:class:`CoRunnerLoad` per request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.common import ConfigError, clamp
 
@@ -31,6 +39,7 @@ __all__ = [
     "memory_intensive_corunner",
     "music_player",
     "web_browser",
+    "corunner_sampler",
 ]
 
 
@@ -68,6 +77,15 @@ class ConstantCoRunner:
 
     def sample(self, rng, now_ms=0.0):
         return self.load
+
+    def sampler(self):
+        """The compiled :meth:`sample`: the load's two readings."""
+        readings = (self.load.cpu_util, self.load.mem_util)
+
+        def draw(rng, now_ms):
+            return readings
+
+        return draw
 
 
 @dataclass(frozen=True)
@@ -122,6 +140,28 @@ class TraceCoRunner:
             mem = clamp(mem + rng.normal(0.0, self.jitter), 0.0, 1.0)
         return CoRunnerLoad(cpu_util=cpu, mem_util=mem)
 
+    def sampler(self):
+        """The compiled :meth:`sample`: same draws, same expressions."""
+        phase_at = self._phase_at
+        jitter = self.jitter
+        if not jitter:
+            def draw(rng, now_ms):
+                return phase_at(now_ms)
+
+            return draw
+
+        def draw(rng, now_ms):
+            cpu, mem = phase_at(now_ms)
+            # ``rng.standard_normal`` is looked up per call: a
+            # NormalBlock rebinds it when it draws ahead.
+            cpu = max(0.0, min(1.0,
+                               cpu + (0.0 + jitter * rng.standard_normal())))
+            mem = max(0.0, min(1.0,
+                               mem + (0.0 + jitter * rng.standard_normal())))
+            return cpu, mem
+
+        return draw
+
 
 @dataclass(frozen=True)
 class SwitchingCoRunner:
@@ -147,6 +187,38 @@ class SwitchingCoRunner:
     def sample(self, rng, now_ms=0.0):
         index = int(now_ms // self.switch_every_ms) % len(self.corunners)
         return self.corunners[index].sample(rng, now_ms)
+
+    def sampler(self):
+        """The compiled :meth:`sample`: the active co-runner's sampler."""
+        samplers = tuple(corunner_sampler(corunner)
+                         for corunner in self.corunners)
+        switch_every_ms = self.switch_every_ms
+        count = len(samplers)
+
+        def draw(rng, now_ms):
+            return samplers[int(now_ms // switch_every_ms) % count](
+                rng, now_ms)
+
+        return draw
+
+
+def corunner_sampler(corunner):
+    """A function ``(rng, now_ms) -> (cpu_util, mem_util)`` for ``corunner``.
+
+    The model's compiled ``sampler()`` when it has one; otherwise its
+    :meth:`sample`, with the two readings taken off the returned load.
+    Either way the draws and values are those of ``corunner.sample``.
+    """
+    compile_sampler = getattr(corunner, "sampler", None)
+    if compile_sampler is not None:
+        return compile_sampler()
+    sample = corunner.sample
+
+    def draw(rng, now_ms):
+        load = sample(rng, now_ms)
+        return load.cpu_util, load.mem_util
+
+    return draw
 
 
 def no_corunner():

@@ -69,7 +69,9 @@ class InterferenceModel:
 
         Args:
             kind: the :class:`ProcessorKind` running the inference.
-            load: a :class:`~repro.interference.corunner.CoRunnerLoad`.
+            load: anything with ``cpu_util``/``mem_util`` — a
+                :class:`~repro.interference.corunner.CoRunnerLoad`, or
+                the :class:`~repro.env.observation.Observation` itself.
         """
         mem_factor = 1.0 + self.mem_penalty[kind] * load.mem_util
         if kind is ProcessorKind.CPU:

@@ -12,7 +12,11 @@ We provide three processes:
 
 Each process exposes ``sample(rng, now_ms)`` and ``draws_per_sample``,
 the most standard-normal draws one sample takes (all through
-``rng.normal(loc, scale)``).
+``rng.normal(loc, scale)``).  The stateless ones also compile a
+*sampler* (:func:`signal_sampler`): a function ``(rng, now_ms) -> rssi``
+with the same draws and the same IEEE expressions as :meth:`sample`
+(``loc + scale * rng.standard_normal()``, clamped as
+``max(low, min(high, value))``), minus the method dispatch.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "GaussianSignal",
     "RandomWalkSignal",
     "OutageSignal",
+    "signal_sampler",
 ]
 
 #: Default RSSI used for a "regular" (strong) link in the scenarios.
@@ -56,6 +61,15 @@ class ConstantSignal:
         """RSSI seen by the inference issued at ``now_ms``."""
         return self.rssi_dbm
 
+    def sampler(self):
+        """The compiled :meth:`sample`."""
+        rssi_dbm = self.rssi_dbm
+
+        def draw(rng, now_ms):
+            return rssi_dbm
+
+        return draw
+
 
 @dataclass(frozen=True)
 class GaussianSignal:
@@ -75,6 +89,18 @@ class GaussianSignal:
     def sample(self, rng, now_ms=0.0):
         value = rng.normal(self.mean_dbm, self.std_db)
         return clamp(value, _RSSI_FLOOR_DBM, _RSSI_CEIL_DBM)
+
+    def sampler(self):
+        """The compiled :meth:`sample`: same draw, same expressions."""
+        mean_dbm = self.mean_dbm
+        std_db = self.std_db
+
+        def draw(rng, now_ms):
+            # Looked up per call: a NormalBlock rebinds it.
+            return max(_RSSI_FLOOR_DBM, min(
+                _RSSI_CEIL_DBM, mean_dbm + std_db * rng.standard_normal()))
+
+        return draw
 
 
 @dataclass
@@ -152,3 +178,16 @@ class OutageSignal:
         if self.in_outage(now_ms):
             return self.outage_rssi_dbm
         return self.base.sample(rng, now_ms)
+
+
+def signal_sampler(signal):
+    """A function ``(rng, now_ms) -> rssi_dbm`` for ``signal``.
+
+    The process's compiled ``sampler()`` when it has one; otherwise its
+    :meth:`sample` itself (stateful or composite processes such as
+    :class:`RandomWalkSignal` and :class:`OutageSignal`).
+    """
+    compile_sampler = getattr(signal, "sampler", None)
+    if compile_sampler is not None:
+        return compile_sampler()
+    return signal.sample

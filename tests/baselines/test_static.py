@@ -7,6 +7,7 @@ from repro.baselines.static import (
     ConnectedEdgeOffload,
     EdgeBest,
     EdgeCpuFp32,
+    _top_vf_targets,
 )
 from repro.env.target import Location
 from repro.models.quantization import Precision
@@ -25,6 +26,24 @@ class TestEdgeCpuFp32:
     def test_execute_returns_result(self, env, mobilenet_case):
         result = EdgeCpuFp32().execute(env, mobilenet_case)
         assert result.target_key.startswith("local/cpu/fp32")
+
+
+class TestTopVfTargets:
+    @pytest.mark.parametrize("location", list(Location))
+    def test_filtered_once_per_environment_and_location(self, env,
+                                                        location):
+        targets = _top_vf_targets(env, location)
+        assert _top_vf_targets(env, location) is targets
+        # One target per (role, precision), at that slot's top V/F step.
+        expected = {}
+        for target in env.targets():
+            if target.location is location:
+                slot = (target.role, target.precision)
+                expected[slot] = max(expected.get(slot, target.vf_index),
+                                     target.vf_index)
+        assert {(target.role, target.precision): target.vf_index
+                for target in targets} == expected
+        assert len(targets) == len(expected)
 
 
 class TestEdgeBest:

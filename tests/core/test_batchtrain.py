@@ -202,7 +202,7 @@ class TestBatchTrainerParity:
                              STATIC_SCENARIOS + DYNAMIC_SCENARIOS)
     def test_full_protocol_contracts_off(self, scenario, contracts_switch):
         # Contracts off switches the trainer to its block-drawn stream
-        # and inlined fast completers; parity must hold bit-for-bit
+        # and direct finishing-plan calls; parity must hold bit-for-bit
         # there too.
         contracts_switch(False)
         _assert_protocol_parity(scenario)

@@ -384,8 +384,8 @@ class TestSlowdownBelowOne:
                                            pytest.param(False, id="0")))
     def test_batch_trainer(self, env, zoo, contracts_switch, contracts):
         # Contracts on: the trainer runs the instrumented ``execute``;
-        # off: its inlined local completer, whose table miss must check
-        # the slowdown itself.
+        # off: it calls the target's finishing plan directly, whose
+        # nominal lookup must check the slowdown too.
         contracts_switch(contracts)
         engine = AutoScale(env, seed=4)
         local = np.array([not target.is_remote
