@@ -3,11 +3,14 @@
 The acceptance criterion for the cost engine: a full-action-space oracle
 sweep (1 network x 200 observations) through ``estimate_all`` must run
 at least 5x faster than the per-target scalar ``estimate`` loop while
-selecting byte-identical targets.  Results are persisted to
+selecting byte-identical targets.  The heap is settled before each
+timed arm (``settle_heap``), so the ratio does not depend on what ran
+before it.  Results are persisted to
 ``benchmarks/results/BENCH_costcache.json`` for the CI artifact.
 """
 
 import json
+import os
 import time
 
 from conftest import RESULTS_DIR
@@ -44,15 +47,17 @@ def _timed_selections(oracle, env, use_case, observations):
     return keys, time.perf_counter() - started_s
 
 
-def test_costcache_oracle_sweep_speedup():
+def test_costcache_oracle_sweep_speedup(settle_heap):
     env = EdgeCloudEnvironment(build_device("mi8pro"), scenario="S1",
                                seed=0)
     use_case = use_case_for(build_network("mobilenet_v3"))
     observations = _observations(N_OBSERVATIONS)
 
+    settle_heap()
     scalar_keys, scalar_s = _timed_selections(
         OptOracle(cache=False, batched=False), env, use_case, observations
     )
+    settle_heap()
     batched_keys, batched_s = _timed_selections(
         OptOracle(cache=False), env, use_case, observations
     )
@@ -70,6 +75,7 @@ def test_costcache_oracle_sweep_speedup():
         "batched_s": batched_s,
         "speedup": speedup,
         "identical_selections": True,
+        "cpu_count": os.cpu_count(),
         "cache": {
             "hits": stats.hits,
             "misses": stats.misses,

@@ -22,12 +22,12 @@ __all__ = ["OptOracle"]
 class OptOracle(Scheduler):
     """Exhaustive nominal-model search over the full action space.
 
-    Against an :class:`~repro.env.EdgeCloudEnvironment` the search runs
-    through ``estimate_all`` — one vectorized sweep instead of ~66 scalar
-    ``estimate`` calls — and selects the identical target (the sweep's
-    ``argbest`` reproduces the feasibility-first ranking below).  Pass
-    ``batched=False`` to force the scalar reference path; environments
-    without ``estimate_all`` fall back to it automatically.
+    The search runs through ``estimate_all`` — one vectorized sweep
+    instead of ~66 scalar ``estimate`` calls — and selects the identical
+    target (the sweep's ``argbest`` reproduces the feasibility-first
+    ranking of :meth:`_search_scalar`).  Pass ``batched=False`` to search
+    with the per-target scalar ``estimate`` calls instead: the reference
+    the batched search is checked and timed against.
     """
 
     name = "opt"
@@ -56,18 +56,10 @@ class OptOracle(Scheduler):
             self._cache[self._cache_key(use_case, state_key)] = best
         return best
 
-    def _sweep_for(self, environment, use_case, observation):
-        """The batched all-target sweep, or None on the scalar path."""
-        estimate_all = (getattr(environment, "estimate_all", None)
-                        if self._batched else None)
-        if estimate_all is None:
-            return None
-        return estimate_all(use_case.network, observation)
-
     def _search(self, environment, use_case, observation):
-        sweep = self._sweep_for(environment, use_case, observation)
-        if sweep is None:
+        if not self._batched:
             return self._search_scalar(environment, use_case, observation)
+        sweep = environment.estimate_all(use_case.network, observation)
         index = sweep.argbest(use_case)
         if index is None:
             raise SimulationError(
@@ -98,10 +90,5 @@ class OptOracle(Scheduler):
     def evaluate(self, environment, use_case, observation):
         """The oracle's nominal (energy, latency) at its chosen target."""
         target = self.select(environment, use_case, observation)
-        sweep = self._sweep_for(environment, use_case, observation)
-        if sweep is None:
-            result = environment.estimate(use_case.network, target,
-                                          observation)
-        else:
-            result = sweep.result_for(target)
-        return target, result
+        sweep = environment.estimate_all(use_case.network, observation)
+        return target, sweep.result_for(target)

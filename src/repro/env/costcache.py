@@ -8,26 +8,32 @@ the learner — dominates wall-clock.  This module evaluates **all**
 targets for one ``(network, observation)`` in a single vectorized numpy
 pass:
 
-- per-``(network, role, precision, vf_index)`` nominal latencies and the
-  eq. (1)-(3) busy powers are folded into dense per-target arrays once
-  (the device/link arrays at engine construction, the network arrays on
-  the first sweep of that network);
+- the per-layer compute terms that ``estimate`` walks are stacked, per
+  network, into one (layers x local targets) matrix, and the eq. (1)-(3)
+  busy powers into dense per-target arrays, once (the device/link arrays
+  at engine construction, the network arrays on the first sweep of that
+  network);
 - a sweep then costs a handful of numpy operations over those arrays plus
   four scalar interference-model calls, instead of ~66 Python call chains;
-- full sweep results are memoized behind a bounded LRU keyed on
-  ``(network.name, discretized load, discretized RSSI)`` with hit/miss
-  counters and explicit invalidation on scenario/device change.
+- full sweep results are memoized behind a bounded LRU keyed on the
+  network name and the **exact** observation readings, with hit/miss
+  counters.
 
-The sweep reproduces the scalar nominal model (``estimate``) to float64
-round-off — the parity suite in ``tests/env/test_costcache.py`` bounds
-the divergence at 1e-9 relative.
+There is one nominal model: the sweep accumulates each local target's
+layer terms in the walk's own left-to-right order and finishes every
+target with the arithmetic of the per-target plans, so each sweep entry
+is bit-identical (``==``) to the scalar ``estimate`` of that target — the
+parity suite in ``tests/env/test_costcache.py`` holds every device,
+network, target and Table-IV scenario to it.  A sweep is a pure function
+of the topology, the network and the observation, so it does not depend
+on which sweeps were computed before it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -50,15 +56,36 @@ __all__ = ["CacheStats", "NominalSweep", "NominalCostEngine"]
 #: keeping worst-case growth in dynamic scenarios bounded).
 _EXACT_CACHE_SIZE = 8192
 
+#: Bound on memoized sweeps (~2.4 kB each with their key).  Static
+#: scenarios repeat one observation per network and hit; dynamic ones
+#: draw fresh readings, so their hits are re-reads of the latest sweep
+#: and a larger bound only holds sweeps nobody reads again.
+_SWEEP_CACHE_SIZE = 64
+
+
+def _check_slowdown(slowdown):
+    """Reject a slowdown below 1, as ``Processor.layer_latency_ms``
+    does."""
+    if slowdown < 1.0:
+        raise ConfigError(f"slowdown must be >= 1, got {slowdown}")
+
 
 def _walk_sum(terms, slowdown, dispatch_ms):
     """``sum((terms * slowdown + dispatch_ms).tolist())``: a layer walk's
     latency from its per-layer compute terms, accumulated left to right
-    as the walk accumulates it.  Rejects a slowdown below 1, as
-    ``Processor.layer_latency_ms`` does."""
-    if slowdown < 1.0:
-        raise ConfigError(f"slowdown must be >= 1, got {slowdown}")
+    as the walk accumulates it."""
+    _check_slowdown(slowdown)
     return sum((terms * slowdown + dispatch_ms).tolist())
+
+
+def _walk_sums(terms, slowdown, dispatch_ms):
+    """:func:`_walk_sum` for every column of a (layers x targets) term
+    matrix at once, with per-column ``slowdown`` and ``dispatch_ms``
+    rows.  ``np.cumsum`` accumulates each column left to right, so
+    column ``j`` is bit-identical to
+    ``_walk_sum(terms[:, j], slowdown[j], dispatch_ms[j])``."""
+    _check_slowdown(slowdown.min())
+    return np.cumsum(terms * slowdown + dispatch_ms, axis=0)[-1]
 
 
 def _readonly(values):
@@ -94,7 +121,9 @@ class NominalSweep:
 
     The arrays are index-aligned with ``targets`` and frozen read-only —
     a sweep may be shared by every consumer that hits the same cache
-    entry, so nobody gets to scribble on it.
+    entry, so nobody gets to scribble on it.  ``index_by_key`` maps each
+    target key to its index; the engine passes one map shared by every
+    sweep of its full target tuple, and it is built here when omitted.
     """
 
     targets: Tuple
@@ -102,6 +131,8 @@ class NominalSweep:
     energy_mj: np.ndarray
     estimated_energy_mj: np.ndarray
     accuracy_pct: np.ndarray
+    index_by_key: Optional[Dict[str, int]] = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         count = len(self.targets)
@@ -113,15 +144,17 @@ class NominalSweep:
                     f"sweep column {name} has {len(values)} entries for "
                     f"{count} targets"
                 )
-            if count and not np.all(np.isfinite(values)):
+            if count and not np.isfinite(values).all():
                 raise ConfigError(f"non-finite sweep column {name}")
-        if count and (np.any(np.asarray(self.latency_ms) <= 0)
-                      or np.any(np.asarray(self.energy_mj) <= 0)):
+        if count and ((np.asarray(self.latency_ms) <= 0).any()
+                      or (np.asarray(self.energy_mj) <= 0).any()):
             raise ConfigError("non-positive nominal latency/energy")
-        object.__setattr__(
-            self, "_index_by_key",
-            {target.key: index for index, target in enumerate(self.targets)},
-        )
+        if self.index_by_key is None:
+            object.__setattr__(
+                self, "index_by_key",
+                {target.key: index
+                 for index, target in enumerate(self.targets)},
+            )
 
     def __len__(self):
         return len(self.targets)
@@ -129,7 +162,7 @@ class NominalSweep:
     def index_of(self, target):
         """Index of ``target`` (or a target with the same key)."""
         try:
-            return self._index_by_key[target.key]
+            return self.index_by_key[target.key]
         except KeyError:
             raise UnknownKeyError(
                 f"target {target.key} is not in this sweep"
@@ -192,17 +225,15 @@ class NominalSweep:
 class _NetworkTable:
     """Per-target nominal constants for one network."""
 
-    compute_ms: np.ndarray   # local compute at slowdown 1 (0 for remote)
-    dispatch_ms: np.ndarray  # local per-layer launch overhead (0 remote)
+    local_terms: np.ndarray  # per-layer compute terms, layers x local
     remote_ms: np.ndarray    # remote nominal compute (0 for local)
     accuracy_pct: np.ndarray
     input_bytes: float
     output_bytes: float
 
     def __post_init__(self):
-        for name in ("compute_ms", "dispatch_ms", "remote_ms",
-                     "accuracy_pct"):
-            if not np.all(np.isfinite(getattr(self, name))):
+        for name in ("local_terms", "remote_ms", "accuracy_pct"):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"non-finite network table {name}")
         if self.input_bytes <= 0 or self.output_bytes <= 0:
             raise ConfigError("network I/O sizes must be positive")
@@ -215,27 +246,15 @@ class NominalCostEngine:
         environment: the :class:`EdgeCloudEnvironment` to mirror.  The
             engine snapshots the device/remote/link topology at
             construction; call :meth:`rebuild` if any of those change.
-        cache_size: bound on memoized sweeps (LRU eviction beyond it).
-        load_quantum: cache-key resolution for ``cpu_util``/``mem_util``.
-        rssi_quantum_dbm: cache-key resolution for the two RSSI readings.
 
-    A cache hit returns the sweep computed for the *first* observation
-    that landed in the key's bin, so the quanta bound the staleness of a
-    hit; both default fine enough that the returned sweep is within
-    measurement noise of an exact evaluation.  ``use_cache=False`` always
-    evaluates exactly.
+    Every cache — the memoized sweeps and the exact nominal components
+    alike — is keyed on exact values and holds a pure function of the
+    topology, so a hit is bit-identical to recomputation and the caches
+    survive scenario swaps and reseeds; only :meth:`rebuild` drops them.
     """
 
-    def __init__(self, environment, cache_size=512, load_quantum=0.02,
-                 rssi_quantum_dbm=0.5):
-        if cache_size < 1:
-            raise ConfigError(f"cache_size must be >= 1, got {cache_size}")
-        if load_quantum <= 0 or rssi_quantum_dbm <= 0:
-            raise ConfigError("cache quanta must be positive")
+    def __init__(self, environment):
         self._environment = environment
-        self._cache_capacity = int(cache_size)
-        self._load_quantum = float(load_quantum)
-        self._rssi_quantum_dbm = float(rssi_quantum_dbm)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -256,7 +275,11 @@ class NominalCostEngine:
     # ------------------------------------------------------------------
 
     def rebuild(self):
-        """Re-snapshot the environment topology and drop every cache."""
+        """Re-snapshot the environment topology and drop every cache.
+
+        Call it when the device, the remote systems or the links change,
+        or when a network definition changes under the same name.
+        """
         env = self._environment
         self._targets = tuple(env.targets())
         device = env.device
@@ -266,10 +289,12 @@ class NominalCostEngine:
         target_busy_mw = np.zeros(count)
         idle_overhead_power_mw = np.zeros(count)
         local_indices, cloud_indices, connected_indices = [], [], []
+        local_dispatch_ms = []
         for index, target in enumerate(self._targets):
             if target.location is Location.LOCAL:
                 local_indices.append(index)
                 proc = device.soc.processor(target.role)
+                local_dispatch_ms.append(proc.dispatch_ms)
                 if proc.kind not in kinds:
                     kinds.append(proc.kind)
                 kind_codes[index] = kinds.index(proc.kind)
@@ -289,9 +314,19 @@ class NominalCostEngine:
         self._idle_overhead_power_mw = idle_overhead_power_mw
         self._platform_power_mw = device.soc.platform_idle_mw
         self._local_indices = np.array(local_indices, dtype=int)
+        self._local_dispatch_ms = np.array(local_dispatch_ms, dtype=float)
         self._cloud_indices = np.array(cloud_indices, dtype=int)
         self._connected_indices = np.array(connected_indices, dtype=int)
-        self.invalidate(network_tables=True)
+        self._index_by_key = {target.key: index
+                              for index, target in enumerate(self._targets)}
+        self._sweeps.clear()
+        self._network_tables.clear()
+        self._exact_local.clear()
+        self._exact_remote.clear()
+        self._exact_links.clear()
+        self._layer_terms.clear()
+        self._local_columns.clear()
+        self._plans.clear()
 
     # ------------------------------------------------------------------
     # Per-target finishing plans (the request kernel)
@@ -301,8 +336,7 @@ class NominalCostEngine:
         """The :class:`~repro.env.executor.LocalPlan` /
         :class:`~repro.env.executor.RemotePlan` that serves ``target``'s
         requests, built on first use and kept until the topology or the
-        network definitions change (:meth:`rebuild`,
-        ``invalidate(network_tables=True)``).
+        network definitions change (:meth:`rebuild`).
 
         Raises :class:`ConfigError` for a remote target whose remote
         system the environment lacks.
@@ -332,38 +366,21 @@ class NominalCostEngine:
 
     def _build_network_table(self, network):
         env = self._environment
-        device = env.device
         count = len(self._targets)
-        compute_ms = np.zeros(count)
-        dispatch_ms = np.zeros(count)
         remote_ms = np.zeros(count)
         accuracy_pct = np.zeros(count)
-        # One layer walk per (role, precision); V/F steps reuse it.
-        weighted_ms_cache: Dict[Tuple[str, object], float] = {}
+        local_columns = []
         for index, target in enumerate(self._targets):
             accuracy_pct[index] = env.accuracy.lookup(network.name,
                                                       target.precision)
             if target.location is Location.LOCAL:
-                proc = device.soc.processor(target.role)
-                slot = (target.role, target.precision)
-                weighted_ms = weighted_ms_cache.get(slot)
-                if weighted_ms is None:
-                    weighted_ms = sum(
-                        (layer.macs / 1e9)
-                        / proc.layer_efficiency.get(layer.kind, 0.5)
-                        * 1000.0
-                        for layer in network.layers
-                    )
-                    weighted_ms_cache[slot] = weighted_ms
-                compute_ms[index] = weighted_ms / proc.throughput_gmacs(
-                    target.precision, target.vf_index
-                )
-                dispatch_ms[index] = proc.dispatch_ms * len(network.layers)
+                local_columns.append(self._local_terms(network, target)[1])
             else:
                 remote_ms[index] = self.remote_nominal_ms(network, target)
+        local_terms = (np.column_stack(local_columns) if local_columns
+                       else np.zeros((len(network.layers), 0)))
         return _NetworkTable(
-            compute_ms=_readonly(compute_ms),
-            dispatch_ms=_readonly(dispatch_ms),
+            local_terms=_readonly(local_terms),
             remote_ms=_readonly(remote_ms),
             accuracy_pct=_readonly(accuracy_pct),
             input_bytes=network.input_bytes,
@@ -374,22 +391,19 @@ class NominalCostEngine:
     # Exact nominal components (the execution path's backbone)
     # ------------------------------------------------------------------
     #
-    # Unlike the sweeps below — which are keyed on *discretized*
-    # observations and whose vectorized arithmetic agrees with the scalar
-    # model only to ~1e-9 relative — these caches key on the **exact**
-    # observation values and compute through the very same scalar call
-    # chain the executor's per-layer walk evaluates.  A hit is therefore
-    # bit-identical to recomputation, which is what lets ``execute``,
-    # ``execute_batch`` and ``estimate`` read them instead of walking
-    # the layers (``tests/env/test_layer_walk_oracle.py`` holds them to
-    # the walk with ``==``).  Because they are pure deterministic
-    # functions of the topology, they deliberately survive
-    # ``reset()``/reseeds (a replayed episode would recompute exactly the
-    # same values) and are only dropped when the topology or the network
-    # definitions change (``rebuild`` /
-    # ``invalidate(network_tables=True)``).  That persistence is what
-    # makes fold-level environment reuse in the LOO protocol profitable:
-    # every fold after the first trains against a warm cache.
+    # These caches key on the **exact** observation values and compute
+    # through the very same scalar call chain the executor's per-layer
+    # walk evaluates.  A hit is therefore bit-identical to recomputation,
+    # which is what lets ``execute``, ``execute_batch`` and ``estimate``
+    # read them instead of walking the layers
+    # (``tests/env/test_layer_walk_oracle.py`` holds them to the walk
+    # with ``==``).  Because they are pure deterministic functions of the
+    # topology, they deliberately survive ``reset()``/reseeds (a replayed
+    # episode would recompute exactly the same values) and are only
+    # dropped when the topology or the network definitions change
+    # (:meth:`rebuild`).  That persistence is what makes fold-level
+    # environment reuse in the LOO protocol profitable: every fold after
+    # the first trains against a warm cache.
 
     def _terms_for(self, host_tag, proc, network, precision):
         """Per-layer compute terms for every V/F step, as a 2-D table.
@@ -539,11 +553,11 @@ class NominalCostEngine:
     # Sweeps
     # ------------------------------------------------------------------
 
-    def sweep(self, network, observation, use_cache=True):
-        """All-target nominal results for one ``(network, observation)``."""
-        if not use_cache:
-            return self._evaluate(network, observation)
-        key = self._cache_key(network.name, observation)
+    def sweep(self, network, observation):
+        """All-target nominal results for one ``(network, observation)``,
+        memoized on the network name and the exact readings."""
+        key = (network.name, observation.cpu_util, observation.mem_util,
+               observation.rssi_wlan_dbm, observation.rssi_p2p_dbm)
         cached = self._sweeps.get(key)
         if cached is not None:
             self.hits += 1
@@ -552,19 +566,10 @@ class NominalCostEngine:
         self.misses += 1
         fresh = self._evaluate(network, observation)
         self._sweeps[key] = fresh
-        if len(self._sweeps) > self._cache_capacity:
+        if len(self._sweeps) > _SWEEP_CACHE_SIZE:
             self._sweeps.popitem(last=False)
             self.evictions += 1
         return fresh
-
-    def _cache_key(self, network_name, observation):
-        return (
-            network_name,
-            int(round(observation.cpu_util / self._load_quantum)),
-            int(round(observation.mem_util / self._load_quantum)),
-            int(round(observation.rssi_wlan_dbm / self._rssi_quantum_dbm)),
-            int(round(observation.rssi_p2p_dbm / self._rssi_quantum_dbm)),
-        )
 
     def _evaluate(self, network, observation):
         env = self._environment
@@ -582,8 +587,8 @@ class NominalCostEngine:
                 for kind in self._kinds
             ])
             slowdown = slowdown_by_kind[self._kind_codes[local]]
-            local_latency_ms = (table.compute_ms[local] * slowdown
-                                + table.dispatch_ms[local])
+            local_latency_ms = _walk_sums(table.local_terms, slowdown,
+                                          self._local_dispatch_ms)
             busy_mj = (self._busy_power_mw_by_target[local]
                        * local_latency_ms / 1000.0)
             overhead_mj = (
@@ -629,32 +634,13 @@ class NominalCostEngine:
             latency_ms=_readonly(latency_ms),
             energy_mj=_readonly(energy_mj),
             estimated_energy_mj=_readonly(estimated_energy_mj),
-            accuracy_pct=_readonly(table.accuracy_pct),
+            accuracy_pct=table.accuracy_pct,
+            index_by_key=self._index_by_key,
         )
 
     # ------------------------------------------------------------------
-    # Cache management
+    # Cache statistics
     # ------------------------------------------------------------------
-
-    def invalidate(self, network_tables=False):
-        """Drop memoized sweeps (and the network tables when asked).
-
-        The environment calls this on scenario swaps and reseeds; pass
-        ``network_tables=True`` when the network *definitions* may have
-        changed (a different zoo build reusing a name).  The exact
-        nominal-component caches are value-keyed and deterministic, so a
-        plain reseed keeps them; only ``network_tables=True`` (and
-        :meth:`rebuild`) drops them too.
-        """
-        self._sweeps.clear()
-        if network_tables:
-            self._network_tables.clear()
-            self._exact_local.clear()
-            self._exact_remote.clear()
-            self._exact_links.clear()
-            self._layer_terms.clear()
-            self._local_columns.clear()
-            self._plans.clear()
 
     def stats(self):
         """Current :class:`CacheStats` snapshot."""
@@ -663,5 +649,5 @@ class NominalCostEngine:
             misses=self.misses,
             evictions=self.evictions,
             size=len(self._sweeps),
-            capacity=self._cache_capacity,
+            capacity=_SWEEP_CACHE_SIZE,
         )

@@ -136,7 +136,7 @@ class EdgeCloudEnvironment:
         self._cost_engine = NominalCostEngine(self)
 
     # ------------------------------------------------------------------
-    # Scenario (swapping one invalidates the nominal-cost cache)
+    # Scenario
     # ------------------------------------------------------------------
 
     @property
@@ -147,9 +147,6 @@ class EdgeCloudEnvironment:
     def scenario(self, scenario):
         self._scenario = (build_scenario(scenario)
                           if isinstance(scenario, str) else scenario)
-        engine = getattr(self, "_cost_engine", None)
-        if engine is not None:  # not yet built during __init__
-            engine.invalidate()
 
     @property
     def scenario_is_static(self):
@@ -218,14 +215,13 @@ class EdgeCloudEnvironment:
     def reset(self, seed=None):
         """Rewind the virtual clock (and optionally reseed).
 
-        Reseeding starts a fresh episode, so the memoized nominal sweeps
-        are dropped too — a replayed episode must recompute from scratch
-        rather than observe another episode's cache population.
+        The nominal-cost caches are kept: every entry is a pure function
+        of the topology and its exact key, so a replayed episode reads
+        the values it would recompute.
         """
         self.kernel.rewind()
         if seed is not None:
             self.rng = make_rng(seed)
-            self._cost_engine.invalidate()
 
     # ------------------------------------------------------------------
     # Clock funnels
@@ -438,22 +434,20 @@ class EdgeCloudEnvironment:
         return self._finish_cached(network, target, observation,
                                    _UNIT_JITTERS)
 
-    def estimate_all(self, network, observation, use_cache=True):
+    def estimate_all(self, network, observation):
         """Nominal model for **every** target in one vectorized pass.
 
         Returns a :class:`~repro.env.costcache.NominalSweep` whose arrays
-        are index-aligned with ``targets()`` and agree with per-target
-        :meth:`estimate` calls to float64 round-off.  Sweeps are memoized
-        on ``(network.name, discretized load, discretized RSSI)``; pass
-        ``use_cache=False`` to force an exact evaluation at this
-        observation.
+        are index-aligned with ``targets()``; entry ``i`` of each column
+        equals (``==``) the matching field of
+        ``estimate(network, targets()[i], observation)``.  Sweeps are
+        memoized on ``(network.name, exact observation readings)``.
         """
-        return self._cost_engine.sweep(network, observation,
-                                       use_cache=use_cache)
+        return self._cost_engine.sweep(network, observation)
 
     @property
     def cost_engine(self):
-        """The batched nominal-cost engine (cache stats, invalidation)."""
+        """The batched nominal-cost engine (cache stats, rebuild)."""
         return self._cost_engine
 
     # ------------------------------------------------------------------

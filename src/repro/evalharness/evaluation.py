@@ -511,13 +511,11 @@ def ablation_states(device_name="mi8pro", network_names=DEFAULT_NETWORKS,
                     observation = env.observe()
                     chosen = engine.predict(use_case.network, observation)
                     optimal = oracle.select(env, use_case, observation)
-                    sweep = env.estimate_all(use_case.network, observation)
-                    chosen_e = float(
-                        sweep.energy_mj[sweep.index_of(chosen)]
-                    )
-                    optimal_e = float(
-                        sweep.energy_mj[sweep.index_of(optimal)]
-                    )
+                    network = use_case.network
+                    chosen_e = env.estimate(network, chosen,
+                                            observation).energy_mj
+                    optimal_e = env.estimate(network, optimal,
+                                             observation).energy_mj
                     matches += int(chosen_e <= optimal_e * 1.01)
                     checked += 1
                     env.execute(use_case.network, chosen, observation)

@@ -141,10 +141,10 @@ def evaluate_autoscale(engine, use_case, eval_runs=30, oracle=None,
                 state_key=engine.observe_state(use_case.network,
                                                observation),
             )
-            sweep = env.estimate_all(use_case.network, observation)
+            network = use_case.network
             matched = decision_match(
-                float(sweep.energy_mj[sweep.index_of(chosen)]),
-                float(sweep.energy_mj[sweep.index_of(optimal)]),
+                env.estimate(network, chosen, observation).energy_mj,
+                env.estimate(network, optimal, observation).energy_mj,
             )
         step = engine.step(use_case, observation)
         stats.record(step.result, matched)

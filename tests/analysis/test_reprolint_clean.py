@@ -115,3 +115,16 @@ def test_flow_package_enters_with_zero_allowlist_entries():
     assert report.files_checked == 9
     assert report.ok, "\n" + report.format()
     assert not report.suppressed
+
+
+def test_oracle_static_baselines_and_runner_hold_zero_allowlist_bar():
+    """The nominal-model consumers the Opt oracle and the static
+    baselines search through, and the evaluation runner that scores
+    against them, pass every rule with the allowlist disabled."""
+    report = lint_paths([SRC / "baselines" / "oracle.py",
+                         SRC / "baselines" / "static.py",
+                         SRC / "evalharness" / "runner.py"],
+                        allowlist=False)
+    assert report.files_checked == 3
+    assert report.ok, "\n" + report.format()
+    assert not report.suppressed

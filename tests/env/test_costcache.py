@@ -5,17 +5,16 @@ import pytest
 
 from repro.baselines.oracle import OptOracle
 from repro.common import UnknownKeyError, make_rng
+from repro.env import costcache
 from repro.env.costcache import NominalCostEngine
 from repro.env.environment import EdgeCloudEnvironment
 from repro.env.executor import NoiseConfig
 from repro.env.observation import Observation
 from repro.env.qos import use_case_for
+from repro.env.scenarios import SCENARIO_NAMES
 from repro.hardware.devices import PHONE_NAMES, build_device
 
-#: Relative divergence budget between the vectorized sweep and scalar
-#: ``estimate`` — the acceptance criterion is 1e-9; the arrays only
-#: reorder float64 sums, so the observed gap is ~1e-15.
-PARITY_RTOL = 1e-9
+_DEVICE_NAMES = (*PHONE_NAMES, "mi8pro_npu")
 
 _RESULT_FIELDS = ("latency_ms", "energy_mj", "estimated_energy_mj",
                   "accuracy_pct")
@@ -30,40 +29,47 @@ def _random_observation(rng):
     )
 
 
+def _scenario_observations(env):
+    """One observation from each Table-IV scenario (S1-S5, D1-D4)."""
+    observations = []
+    for name in SCENARIO_NAMES:
+        env.scenario = name
+        observations.append(env.observe())
+    return observations
+
+
 class TestSweepParity:
-    def test_matches_scalar_estimate_per_target(self, env, zoo):
-        """Every sweep column agrees with scalar estimate <= 1e-9 rel."""
+    def test_matches_scalar_estimate_per_target(self, zoo):
+        """Every sweep entry equals (``==``) the scalar estimate of its
+        target, for every device, zoo network and target, at random and
+        Table-IV scenario observations."""
         rng = make_rng(11)
-        networks = [zoo[name] for name in
-                    ("mobilenet_v3", "inception_v1", "resnet_50",
-                     "mobilebert")]
-        for network in networks:
-            for _ in range(3):
-                observation = _random_observation(rng)
-                sweep = env.estimate_all(network, observation,
-                                         use_cache=False)
-                for index, target in enumerate(env.targets()):
-                    scalar = env.estimate(network, target, observation)
-                    for field in _RESULT_FIELDS:
-                        want = getattr(scalar, field)
-                        have = float(getattr(sweep, field)[index])
-                        assert have == pytest.approx(want,
-                                                     rel=PARITY_RTOL), (
-                            f"{network.name} {target.key} {field}"
-                        )
+        for device_name in _DEVICE_NAMES:
+            env = EdgeCloudEnvironment(build_device(device_name), seed=3)
+            observations = _scenario_observations(env) + [
+                _random_observation(rng) for _ in range(3)]
+            for network in zoo.values():
+                for observation in observations:
+                    sweep = env.estimate_all(network, observation)
+                    for index, target in enumerate(env.targets()):
+                        scalar = env.estimate(network, target, observation)
+                        for field in _RESULT_FIELDS:
+                            assert (float(getattr(sweep, field)[index])
+                                    == getattr(scalar, field)), (
+                                f"{device_name} {network.name} "
+                                f"{target.key} {field}"
+                            )
 
     def test_result_for_reconstructs_execution_result(self, env, zoo):
         observation = env.observe()
         network = zoo["mobilenet_v3"]
-        sweep = env.estimate_all(network, observation, use_cache=False)
+        sweep = env.estimate_all(network, observation)
         target = env.targets()[7]
         scalar = env.estimate(network, target, observation)
         batched = sweep.result_for(target)
         assert batched.target_key == scalar.target_key
         for field in _RESULT_FIELDS:
-            assert getattr(batched, field) == pytest.approx(
-                getattr(scalar, field), rel=PARITY_RTOL
-            )
+            assert getattr(batched, field) == getattr(scalar, field)
 
     def test_index_of_unknown_target_raises(self, env, zoo):
         sweep = env.estimate_all(zoo["mobilenet_v3"], env.observe())
@@ -78,7 +84,7 @@ class TestSweepParity:
 
 
 class TestExecuteEstimateParity:
-    @pytest.mark.parametrize("device_name", (*PHONE_NAMES, "mi8pro_npu"))
+    @pytest.mark.parametrize("device_name", _DEVICE_NAMES)
     def test_noise_free_execute_agrees_with_estimate(self, zoo,
                                                      device_name):
         """NoiseConfig(0,0,0,0) + idle scenario: execute == estimate on
@@ -89,14 +95,12 @@ class TestExecuteEstimateParity:
         )
         network = zoo["mobilenet_v3"]
         observation = env.observe()
-        sweep = env.estimate_all(network, observation, use_cache=False)
+        sweep = env.estimate_all(network, observation)
         for index, target in enumerate(env.targets()):
             executed = env.execute(network, target, observation)
             estimated = env.estimate(network, target, observation)
             assert executed.latency_ms == estimated.latency_ms, target.key
-            assert executed.latency_ms == pytest.approx(
-                float(sweep.latency_ms[index]), rel=PARITY_RTOL
-            )
+            assert executed.latency_ms == float(sweep.latency_ms[index])
 
 
 class TestOracleEquivalence:
@@ -115,8 +119,7 @@ class TestOracleEquivalence:
 
     def test_argbest_subset_matches_full_search_semantics(self, env, zoo):
         use_case = use_case_for(zoo["inception_v1"])
-        sweep = env.estimate_all(use_case.network, env.observe(),
-                                 use_cache=False)
+        sweep = env.estimate_all(use_case.network, env.observe())
         best = sweep.argbest(use_case)
         all_indices = list(range(len(sweep)))
         assert sweep.argbest(use_case, indices=all_indices) == best
@@ -137,52 +140,22 @@ class TestCache:
         assert (first.result_for(target).energy_mj
                 == again.result_for(target).energy_mj)
 
-    def test_nearby_observation_hits_same_bin(self, env, zoo):
-        network = zoo["mobilenet_v3"]
-        base = Observation(cpu_util=0.400, mem_util=0.200,
-                           rssi_wlan_dbm=-60.0, rssi_p2p_dbm=-60.0)
-        nudged = Observation(cpu_util=0.401, mem_util=0.199,
-                             rssi_wlan_dbm=-60.1, rssi_p2p_dbm=-59.9)
-        first = env.estimate_all(network, base)
-        assert env.estimate_all(network, nudged) is first
-
-    def test_use_cache_false_bypasses_memoization(self, env, zoo):
-        network = zoo["mobilenet_v3"]
-        observation = env.observe()
-        env.estimate_all(network, observation, use_cache=False)
-        stats = env.cost_engine.stats()
-        assert stats.hits == 0 and stats.misses == 0 and stats.size == 0
-
-    def test_reset_with_seed_invalidates(self, env, zoo):
-        network = zoo["mobilenet_v3"]
-        observation = env.observe()
-        env.estimate_all(network, observation)
-        assert env.cost_engine.stats().size == 1
-        env.reset(seed=99)
-        assert env.cost_engine.stats().size == 0
-        env.estimate_all(network, observation)
-        assert env.cost_engine.stats().misses == 2
-
     def test_reset_without_seed_keeps_cache(self, env, zoo):
         env.estimate_all(zoo["mobilenet_v3"], env.observe())
         env.reset()
         assert env.cost_engine.stats().size == 1
 
-    def test_scenario_swap_invalidates(self, env, zoo):
-        env.estimate_all(zoo["mobilenet_v3"], env.observe())
-        assert env.cost_engine.stats().size == 1
-        env.scenario = "S2"
-        assert env.cost_engine.stats().size == 0
-
-    def test_lru_eviction_is_bounded(self, mi8pro_device, zoo):
+    def test_lru_eviction_is_bounded(self, mi8pro_device, zoo,
+                                     monkeypatch):
+        monkeypatch.setattr(costcache, "_SWEEP_CACHE_SIZE", 2)
         env = EdgeCloudEnvironment(mi8pro_device, seed=0)
-        engine = NominalCostEngine(env, cache_size=2)
+        engine = NominalCostEngine(env)
         network = zoo["mobilenet_v3"]
         rssi_levels = (-50.0, -60.0, -70.0)
         for rssi_dbm in rssi_levels:
             engine.sweep(network, Observation(rssi_wlan_dbm=rssi_dbm))
         stats = engine.stats()
-        assert stats.size == 2
+        assert stats.size == stats.capacity == 2
         assert stats.evictions == 1
         assert stats.misses == len(rssi_levels)
 
@@ -198,6 +171,44 @@ class TestCache:
         env.estimate_all(network, observation)
         env.estimate_all(network, observation)
         assert env.cost_engine.stats().hit_ratio == pytest.approx(2 / 3)
+
+
+class TestCallOrder:
+    """A sweep is a pure function of the topology, the network and the
+    exact observation: no earlier call changes what it returns."""
+
+    _BASE = Observation(cpu_util=0.400, mem_util=0.200,
+                        rssi_wlan_dbm=-60.0, rssi_p2p_dbm=-60.0)
+    # Within 2% load and 0.5 dBm of _BASE: the same bucket of the
+    # former discretized cache key.
+    _NEIGHBOUR = Observation(cpu_util=0.401, mem_util=0.199,
+                             rssi_wlan_dbm=-60.1, rssi_p2p_dbm=-59.9)
+
+    @staticmethod
+    def _columns(sweep):
+        return [getattr(sweep, field).tobytes() for field in _RESULT_FIELDS]
+
+    def test_neighbour_swept_first_changes_nothing(self, mi8pro_device,
+                                                   zoo):
+        network = zoo["resnet_50"]
+        primed = EdgeCloudEnvironment(mi8pro_device, seed=0)
+        neighbour = primed.estimate_all(network, self._NEIGHBOUR)
+        after_neighbour = primed.estimate_all(network, self._BASE)
+        fresh = EdgeCloudEnvironment(build_device("mi8pro"), seed=7)
+        alone = fresh.estimate_all(network, self._BASE)
+        assert after_neighbour is not neighbour
+        assert self._columns(after_neighbour) == self._columns(alone)
+        assert self._columns(neighbour) != self._columns(alone)
+
+    def test_sweep_survives_scenario_swap_and_reseed(self, env, zoo):
+        network = zoo["mobilenet_v3"]
+        sweep = env.estimate_all(network, self._BASE)
+        env.scenario = "S2"
+        assert env.estimate_all(network, self._BASE) is sweep
+        env.reset(seed=99)
+        assert env.estimate_all(network, self._BASE) is sweep
+        stats = env.cost_engine.stats()
+        assert (stats.hits, stats.misses, stats.size) == (2, 1, 1)
 
 
 class TestExactLocalCache:

@@ -408,11 +408,10 @@ class TestStaleFeasibilityRefresh:
         sweeps = []
         inner_estimate_all = env.estimate_all
 
-        def tracking(network, observation, use_cache=True):
+        def tracking(network, observation):
             sweeps.append((observation.now_ms, env.clock.now_ms,
                            observation.cpu_util))
-            return inner_estimate_all(network, observation,
-                                      use_cache=use_cache)
+            return inner_estimate_all(network, observation)
 
         env.estimate_all = tracking
         return sweeps
@@ -478,10 +477,9 @@ class TestStaleFeasibilityRefresh:
         sweep_times = []
         inner_estimate_all = env.estimate_all
 
-        def tracking(network, observation, use_cache=True):
+        def tracking(network, observation):
             sweep_times.append(observation.now_ms)
-            return inner_estimate_all(network, observation,
-                                      use_cache=use_cache)
+            return inner_estimate_all(network, observation)
 
         env.estimate_all = tracking
         pipeline = ServingPipeline(service, ServingConfig(
